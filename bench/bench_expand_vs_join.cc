@@ -32,7 +32,7 @@ GraphPtr MakeSocial(int64_t people) {
 void BM_SelectiveExpand(benchmark::State& state, bool use_join) {
   GraphPtr g = MakeSocial(state.range(0));
   EngineOptions opts;
-  opts.use_join_expand = use_join;
+  if (use_join) opts.expand_strategy = ExpandStrategy::kHashJoin;
   Database db = bench::MakeDatabase(g, opts);
   const char* q =
       "MATCH (p:Person {name: 'P0'})-[:FRIEND]-(f)-[:FRIEND]-(ff) "
@@ -59,7 +59,7 @@ BENCHMARK(BM_ExpandHashJoin)->Arg(1000)->Arg(4000)->Arg(16000);
 void BM_FullScanExpand(benchmark::State& state, bool use_join) {
   GraphPtr g = MakeSocial(state.range(0));
   EngineOptions opts;
-  opts.use_join_expand = use_join;
+  if (use_join) opts.expand_strategy = ExpandStrategy::kHashJoin;
   Database db = bench::MakeDatabase(g, opts);
   const char* q = "MATCH (a:Person)-[:FRIEND]->(b) RETURN count(*) AS c";
   for (auto _ : state) {

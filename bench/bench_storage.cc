@@ -59,7 +59,7 @@ void BM_ColdStartWalReplay(benchmark::State& state) {
       state.SkipWithError(opened.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(opened->graph().NumNodes());
+    benchmark::DoNotOptimize(opened->Snapshot()->NumNodes());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -84,7 +84,7 @@ void BM_ColdStartCheckpointLoad(benchmark::State& state) {
       state.SkipWithError(opened.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(opened->graph().NumNodes());
+    benchmark::DoNotOptimize(opened->Snapshot()->NumNodes());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

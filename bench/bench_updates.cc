@@ -19,7 +19,7 @@ void BM_CreateNodes(benchmark::State& state) {
         return;
       }
     }
-    benchmark::DoNotOptimize(db.graph().NumNodes());
+    benchmark::DoNotOptimize(db.Snapshot()->NumNodes());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -43,7 +43,7 @@ void BM_CreateChainBatch(benchmark::State& state) {
       state.SkipWithError(wire.status().ToString().c_str());
       return;
     }
-    benchmark::DoNotOptimize(db.graph().NumRels());
+    benchmark::DoNotOptimize(db.Snapshot()->NumRels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -66,14 +66,14 @@ inline void ConsumeGqliteBenchFlags(int* argc, char** argv) {
   *argc = out;
 }
 
-/// Opens an empty in-memory database with the shared bench flags
-/// applied. Aborts on failure: benchmarks must not silently measure a
-/// misconfigured engine.
-inline Database MakeEmptyDatabase(EngineOptions opts = {}) {
+/// Opens an in-memory database starting from `initial` (empty when
+/// null) with the shared bench flags applied. Aborts on failure:
+/// benchmarks must not silently measure a misconfigured engine.
+inline Database OpenWithFlags(EngineOptions opts, GraphPtr initial) {
   if (g_no_plan_cache) opts.use_plan_cache = false;
   if (g_no_batch) opts.batch_size = 1;
   if (g_num_threads > 0) opts.num_threads = g_num_threads;
-  Result<Database> db = Database::OpenInMemory(opts);
+  Result<Database> db = Database::OpenInMemory(opts, std::move(initial));
   if (!db.ok()) {
     std::fprintf(stderr, "OpenInMemory failed: %s\n",
                  db.status().ToString().c_str());
@@ -82,17 +82,15 @@ inline Database MakeEmptyDatabase(EngineOptions opts = {}) {
   return std::move(*db);
 }
 
+inline Database MakeEmptyDatabase(EngineOptions opts = {}) {
+  return OpenWithFlags(opts, nullptr);
+}
+
 /// Builds an in-memory database whose default graph is `g` — both the
 /// implicit graph plain `db.Execute(query)` sees and the `bench` named
 /// graph the MustRun `FROM GRAPH bench` prefix selects.
 inline Database MakeDatabase(GraphPtr g, EngineOptions opts = {}) {
-  Database db = MakeEmptyDatabase(opts);
-  Status bound = db.engine().set_default_graph(g);
-  if (!bound.ok()) {
-    std::fprintf(stderr, "set_default_graph failed: %s\n",
-                 bound.ToString().c_str());
-    std::exit(1);
-  }
+  Database db = OpenWithFlags(opts, g);
   db.RegisterGraph("bench", std::move(g));
   return db;
 }

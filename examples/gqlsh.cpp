@@ -17,6 +17,7 @@
 //   :quit
 
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "src/core/database.h"
@@ -27,7 +28,8 @@ using namespace gqlite;
 namespace {
 
 void PrintStats(Database& db) {
-  const PropertyGraph& g = db.graph();
+  std::shared_ptr<const PropertyGraph> snapshot = db.Snapshot();
+  const PropertyGraph& g = *snapshot;
   CypherEngine& engine = db.engine();
   std::cout << g.NumNodes() << " nodes, " << g.NumRels()
             << " relationships\n";
@@ -91,8 +93,9 @@ int main(int argc, char** argv) {
   }
   Database db = std::move(*opened);
   if (!db_path.empty()) {
+    std::shared_ptr<const PropertyGraph> recovered = db.Snapshot();
     std::cout << "durable database at " << db_path << ": "
-              << db.graph().NumNodes() << " nodes, " << db.graph().NumRels()
+              << recovered->NumNodes() << " nodes, " << recovered->NumRels()
               << " relationships recovered\n";
   }
 
@@ -177,7 +180,7 @@ int main(int argc, char** argv) {
       std::cout << result.status().ToString() << "\n";
       continue;
     }
-    std::cout << result->ToString(&db.graph());
+    std::cout << result->ToString(db.Snapshot().get());
   }
   return 0;
 }

@@ -23,7 +23,7 @@ void Run(Database& db, const char* query, const ValueMap& params = {}) {
     std::cout << "  " << result.status().ToString() << "\n\n";
     return;
   }
-  std::cout << result->ToString(&db.graph()) << "\n";
+  std::cout << result->ToString(db.Snapshot().get()) << "\n";
 }
 
 }  // namespace

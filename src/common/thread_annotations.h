@@ -16,9 +16,9 @@
 ///  * PT_GUARDED_BY(mu)   — the POINTED-TO data is protected (the pointer
 ///                          itself may be read freely).
 ///  * REQUIRES(mu)        — function may only be CALLED while `mu` is
-///                          held. Used to document externally-synchronized
-///                          interfaces (PlanCache, GraphCatalog): callers
-///                          must lock, the class does not.
+///                          held: helpers that run inside a caller's
+///                          critical section (e.g.
+///                          CypherEngine::ReadSnapshotLocked).
 ///  * ACQUIRE/RELEASE(mu) — function acquires/releases the capability
 ///                          (Mutex::Lock/Unlock, scoped guards).
 ///  * EXCLUDES(mu)        — function must NOT be called with `mu` held

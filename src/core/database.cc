@@ -15,10 +15,11 @@ Result<Database> Database::Open(const std::string& path,
   return db;
 }
 
-Result<Database> Database::OpenInMemory(EngineOptions options) {
+Result<Database> Database::OpenInMemory(EngineOptions options,
+                                        GraphPtr initial) {
   Database db(options);
-  GQL_RETURN_IF_ERROR(
-      db.engine_->BindStorage(std::make_unique<InMemoryStorageEngine>()));
+  auto storage = std::make_unique<InMemoryStorageEngine>(std::move(initial));
+  GQL_RETURN_IF_ERROR(db.engine_->BindStorage(std::move(storage)));
   return db;
 }
 

@@ -25,7 +25,12 @@ namespace gqlite {
 /// returns, and reopening the same path recovers the exact committed
 /// state (latest checkpoint plus WAL replay; torn tails from a crash
 /// are discarded). OpenInMemory() keeps everything in RAM — same API,
-/// no files, Checkpoint() a no-op.
+/// no files, Checkpoint() a no-op — and optionally starts from a
+/// caller-built graph, the in-memory counterpart of recovery.
+///
+/// The default graph changes only through updating statements
+/// (Execute, or a Session write transaction). Snapshot() is the
+/// read-only view of its committed state.
 ///
 /// The engine underneath (CypherEngine) is an internal layer: sessions,
 /// transactions, plan caching and parallel execution all behave exactly
@@ -34,18 +39,23 @@ namespace gqlite {
 /// is reserved to src/core/ and tests (lint-enforced) — everything
 /// else opens a Database.
 ///
-/// A Database is movable, not copyable. Destruction closes it (flushing
-/// any setup-API writes that bypassed a transaction); call Close()
-/// explicitly to observe the final flush status. The Database must
-/// outlive every Session it created.
+/// A Database is movable, not copyable. Destruction closes it; call
+/// Close() explicitly to observe its status. The Database must outlive
+/// every Session it created.
 class Database {
  public:
   /// Opens (creating on first use) a durable database rooted at the
   /// directory `path` and recovers its committed state.
   static Result<Database> Open(const std::string& path,
                                EngineOptions options = {});
-  /// Opens a database with no persistence at all.
-  static Result<Database> OpenInMemory(EngineOptions options = {});
+  /// Opens a database with no persistence at all. `initial` is the
+  /// starting default graph (an empty one when null); the database owns
+  /// it from here on — later writes go through statements, not through
+  /// the caller's pointer. A frozen `initial` (a PropertyGraph::Snapshot)
+  /// is served to reads without a copy and makes the database
+  /// read-only.
+  static Result<Database> OpenInMemory(EngineOptions options = {},
+                                       GraphPtr initial = nullptr);
 
   Database(Database&&) noexcept = default;
   /// Move-assignment closes the database being replaced first (same
@@ -77,10 +87,6 @@ class Database {
   /// running it.
   Result<PreparedQuery> Prepare(std::string_view query) {
     return engine_->Prepare(query);
-  }
-  /// Structured single-statement execution (see QueryRequest).
-  Result<QueryResult> Run(const QueryRequest& req) {
-    return engine_->Run(req);
   }
   /// Renders the physical plan for a read query.
   Result<std::string> Explain(std::string_view query,
@@ -116,11 +122,12 @@ class Database {
   /// The engine underneath — introspection (stats, plan cache, catalog,
   /// options) and named-graph registration.
   CypherEngine& engine() { return *engine_; }
-  /// Direct access to the default graph: a single-caller setup API that
-  /// bypasses transactions (fixture loading). Writes made through it
-  /// become durable at the next transaction boundary (or Checkpoint/
-  /// Close), not immediately.
-  PropertyGraph& graph() { return engine_->graph(); }
+  /// The committed state of the default graph as a frozen snapshot:
+  /// later commits never change it. For inspection (counts, printing
+  /// results).
+  std::shared_ptr<const PropertyGraph> Snapshot() const {
+    return engine_->Snapshot();
+  }
 
  private:
   explicit Database(EngineOptions options)

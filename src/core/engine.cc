@@ -88,13 +88,13 @@ CypherEngine::CypherEngine(EngineOptions options)
 }
 
 CypherEngine::~CypherEngine() {
-  // The graph may outlive the engine (shared_ptr handed out via
-  // graph_ptr()); never leave it pointing at the dying recorder.
+  // The head is shared and may outlive the engine (e.g. through a
+  // captured catalog snapshot); never leave it pointing at the dying
+  // recorder.
   if (recorder_ != nullptr && graph_ != nullptr) {
     graph_->set_write_observer(nullptr);
   }
 }
-CypherEngine::CypherEngine(CypherEngine&&) noexcept = default;
 
 Status CypherEngine::BindStorage(std::unique_ptr<StorageEngine> storage) {
   GQL_ASSIGN_OR_RETURN(std::shared_ptr<PropertyGraph> recovered,
@@ -108,7 +108,6 @@ Status CypherEngine::BindStorage(std::unique_ptr<StorageEngine> storage) {
   MutexLock lock(&txn_mu_);
   graph_ = std::move(recovered);
   committed_snapshot_ = nullptr;
-  committed_src_ = nullptr;
   committed_version_ = 0;
   return Status::OK();
 }
@@ -116,8 +115,7 @@ Status CypherEngine::BindStorage(std::unique_ptr<StorageEngine> storage) {
 Status CypherEngine::Checkpoint() {
   if (storage_ == nullptr) return Status::OK();
   // Hold the writer slot across the whole checkpoint: an active write
-  // transaction finishes first, new ones wait, and AcquireWriter has
-  // already flushed any pending setup-API batch — so the pinned
+  // transaction finishes first and new ones wait — so the pinned
   // committed snapshot matches "every WAL batch appended so far",
   // exactly what WriteCheckpoint claims.
   GQL_RETURN_IF_ERROR(AcquireWriter(/*wait=*/true).status());
@@ -136,9 +134,9 @@ Status CypherEngine::Close() {
   if (storage_ == nullptr) return Status::OK();
   Status flushed = Status::OK();
   if (recorder_ != nullptr) {
-    // Taking the writer slot waits out in-flight writers and flushes any
-    // pending setup-API batch; detach the recorder before releasing so
-    // no op can slip in after the final append.
+    // Taking the writer slot waits out in-flight writers; detach the
+    // recorder before releasing so no op can slip in after the final
+    // append.
     Result<GraphPtr> live = AcquireWriter(/*wait=*/true);
     if (live.ok()) {
       (*live)->set_write_observer(nullptr);
@@ -209,7 +207,6 @@ MatchOptions CypherEngine::MakeMatchOptions() const {
 PlannerOptions CypherEngine::MakePlannerOptions() const {
   PlannerOptions popts;
   popts.mode = options_.planner;
-  popts.use_join_expand = options_.use_join_expand;
   popts.expand_strategy = options_.expand_strategy;
   popts.direction_policy = options_.direction_policy;
   popts.batch_size = options_.batch_size;
@@ -228,8 +225,6 @@ std::string CypherEngine::OptionsFingerprint() const {
   f += std::to_string(static_cast<int>(options_.morphism));
   f += 'v';
   f += std::to_string(options_.max_var_length);
-  f += 'j';
-  f += options_.use_join_expand ? '1' : '0';
   f += 'x';
   f += std::to_string(static_cast<int>(options_.expand_strategy));
   f += 'd';
@@ -246,49 +241,28 @@ std::string CypherEngine::OptionsFingerprint() const {
 
 // ---- MVCC transaction core -------------------------------------------------
 
-Status CypherEngine::set_default_graph(GraphPtr g) {
-  if (recorder_ != nullptr) {
-    // The durable default graph IS the recovered, WAL-backed store;
-    // swapping it out from under the log would desynchronize recovery.
-    return Status::InvalidArgument(
-        "set_default_graph: a durable database owns its default graph; "
-        "register additional graphs by name instead");
-  }
-  catalog_.RegisterGraph(GraphCatalog::kDefaultGraphName, g);
-  MutexLock lock(&txn_mu_);
-  graph_ = std::move(g);
-  // Invalidate the committed snapshot: the next read snapshots the new
-  // head. An active writer keeps the (old) head it pinned at begin;
-  // writer_graph_ no longer matches graph_, so readers are not deferred
-  // to that writer's begin snapshot.
-  committed_snapshot_ = nullptr;
-  committed_src_ = nullptr;
-  committed_version_ = 0;
-  return Status::OK();
-}
-
 GraphPtr CypherEngine::ReadSnapshot() {
   MutexLock lock(&txn_mu_);
   return ReadSnapshotLocked();
 }
 
 GraphPtr CypherEngine::ReadSnapshotLocked() {
-  if (writer_active_ && graph_.get() == writer_graph_) {
+  if (writer_active_) {
     // A writer owns the head: serve the snapshot taken at its begin and
     // do not touch head fields it may be mutating right now.
     return committed_snapshot_;
   }
   if (graph_->frozen()) {
     // The default graph is itself a frozen snapshot (e.g. an oracle
-    // engine bound to another engine's snapshot): it cannot change, so
-    // it IS the committed state. Copying here would also race — frozen
-    // graphs are shared across engines and Snapshot() is a mutation.
+    // database bound to another database's snapshot): it cannot change,
+    // so it IS the committed state. Copying here would also race —
+    // frozen graphs are shared across engines and Snapshot() is a
+    // mutation.
     return graph_;
   }
-  if (committed_snapshot_ == nullptr || committed_src_ != graph_.get() ||
+  if (committed_snapshot_ == nullptr ||
       committed_version_ != graph_->data_version()) {
     committed_snapshot_ = graph_->Snapshot();
-    committed_src_ = graph_.get();
     committed_version_ = graph_->data_version();
   }
   return committed_snapshot_;
@@ -301,40 +275,25 @@ Result<GraphPtr> CypherEngine::AcquireWriter(bool wait) {
   if (storage_ != nullptr && storage_->durable() && recorder_ == nullptr) {
     return Status::InvalidArgument("database is closed for writes");
   }
-  GraphPtr head;
-  {
-    MutexLock lock(&txn_mu_);
-    while (writer_active_) {
-      if (!wait) {
-        return Status::Conflict(
-            "write-write conflict: another write transaction is in progress");
-      }
-      txn_cv_.Wait(&txn_mu_);
+  MutexLock lock(&txn_mu_);
+  while (writer_active_) {
+    if (!wait) {
+      return Status::Conflict(
+          "write-write conflict: another write transaction is in progress");
     }
-    // Pin the pre-transaction committed state BEFORE any dirty write:
-    // readers starting during the transaction are served this snapshot,
-    // and Rollback restores it.
-    ReadSnapshotLocked();
-    writer_active_ = true;
-    writer_graph_ = graph_.get();
-    head = graph_;
+    txn_cv_.Wait(&txn_mu_);
   }
-  // Holding the writer slot (appends are serialized by it, not by a
-  // lock), flush ops from setup-API writes that bypassed a transaction
-  // (graph() fixture loads) as their own batch. They are part of the
-  // snapshot pinned above, so a rollback — which discards only pending
-  // ops — stays consistent with the log.
-  if (recorder_ != nullptr && recorder_->HasPending()) {
-    Status st = storage_->AppendCommit(recorder_->TakePending());
-    if (!st.ok()) {
-      MutexLock lock(&txn_mu_);
-      writer_active_ = false;
-      writer_graph_ = nullptr;
-      txn_cv_.NotifyAll();
-      return st;
-    }
+  if (graph_->frozen()) {
+    return Status::InvalidArgument(
+        "the default graph is a read-only snapshot; open the database "
+        "with a mutable starting graph to write");
   }
-  return head;
+  // Pin the pre-transaction committed state BEFORE any dirty write:
+  // readers starting during the transaction are served this snapshot,
+  // and Rollback restores it.
+  ReadSnapshotLocked();
+  writer_active_ = true;
+  return graph_;
 }
 
 Status CypherEngine::CommitWriter() {
@@ -354,7 +313,6 @@ Status CypherEngine::CommitWriter() {
   // ReadSnapshotLocked sees the head's data_version moved and takes a
   // fresh snapshot.
   writer_active_ = false;
-  writer_graph_ = nullptr;
   txn_cv_.NotifyAll();
   return Status::OK();
 }
@@ -363,33 +321,24 @@ void CypherEngine::RollbackWriter() {
   GraphPtr restored;
   {
     MutexLock lock(&txn_mu_);
-    if (graph_.get() == writer_graph_) {
-      // Re-materialize the pre-begin state as a fresh live head. The
-      // committed snapshot stays (it is content-equal to the new head).
-      restored = committed_snapshot_->Clone();
-      if (recorder_ != nullptr) {
-        // Drop the transaction's unlogged ops and observe the restored
-        // head from its (rolled-back) interner state — which matches
-        // what the log contains, since AcquireWriter flushed everything
-        // older.
-        recorder_->Rebind(restored.get());
-        restored->set_write_observer(recorder_.get());
-      }
-      graph_ = restored;
-      committed_src_ = restored.get();
-      committed_version_ = restored->data_version();
+    // Re-materialize the pre-begin state as a fresh live head. The
+    // committed snapshot stays (it is content-equal to the new head).
+    restored = committed_snapshot_->Clone();
+    if (recorder_ != nullptr) {
+      // Drop the transaction's unlogged ops and observe the restored
+      // head from its (rolled-back) interner state — which matches what
+      // the log contains, since every older commit was harvested.
+      recorder_->Rebind(restored.get());
+      restored->set_write_observer(recorder_.get());
     }
-    // else: set_default_graph replaced the head mid-transaction, so the
-    // writer's graph is already unbound; releasing the slot suffices.
+    graph_ = restored;
+    committed_version_ = restored->data_version();
     writer_active_ = false;
-    writer_graph_ = nullptr;
     txn_cv_.NotifyAll();
   }
-  if (restored != nullptr) {
-    // Bumps the catalog version, invalidating cached plans bound to the
-    // abandoned head.
-    catalog_.RegisterGraph(GraphCatalog::kDefaultGraphName, restored);
-  }
+  // Bumps the catalog version, invalidating cached plans bound to the
+  // abandoned head.
+  catalog_.RegisterGraph(GraphCatalog::kDefaultGraphName, restored);
 }
 
 // ---- Statement execution ---------------------------------------------------
@@ -435,20 +384,6 @@ Result<QueryResult> CypherEngine::Execute(const PreparedQuery& prepared,
   return ExecuteWith(prepared, params, /*session_rand=*/nullptr);
 }
 
-Result<QueryResult> CypherEngine::Run(const QueryRequest& req) {
-  PreparedQuery prepared = req.prepared;
-  if (!prepared.valid()) {
-    GQL_ASSIGN_OR_RETURN(prepared, Prepare(req.text));
-  }
-  if (req.graph != nullptr) {
-    // Caller-pinned binding: execute directly against it, outside the
-    // auto-commit transaction wrapper (the caller owns the pin's
-    // consistency story, as Session does for transactions).
-    return ExecuteOn(prepared, req.params, req.graph);
-  }
-  return ExecuteWith(prepared, req.params, /*session_rand=*/nullptr);
-}
-
 Result<QueryResult> CypherEngine::ExecuteWith(const PreparedQuery& prepared,
                                               const ValueMap& params,
                                               uint64_t* session_rand) {
@@ -468,9 +403,8 @@ Result<QueryResult> CypherEngine::ExecuteWith(const PreparedQuery& prepared,
     if (result.ok() && !committed.ok()) return committed;
     return result;
   }
-  // Read statement: execute against the committed-state snapshot. The
-  // binding is resolved here, once — a concurrent set_default_graph
-  // cannot rebind the statement mid-flight.
+  // Read statement: execute against the committed-state snapshot,
+  // resolved here, once for the whole statement.
   return ExecuteOn(prepared, params, ReadSnapshot(), session_rand);
 }
 

@@ -39,16 +39,15 @@ struct EngineOptions {
   /// Cap substituted for ∞ in unbounded variable-length patterns (only
   /// binding under homomorphism; see MatchOptions).
   int64_t max_var_length = 1000000;
-  /// E14 baseline: execute Expand as a relationship-store hash join.
-  bool use_join_expand = false;
   /// Per-hop physical operator for chain expands: kCost compares the
   /// adjacency Expand against the relationship-store hash join per step
   /// on the executing snapshot's statistics; the forced values pin one
-  /// side. The environment variable GQLITE_PLAN_MODE overrides this and
-  /// the two fields around it at engine construction — comma-separated
-  /// tokens from {ltr, greedy, dp} (planner mode), {adjacency, hashjoin,
-  /// cost-expand} (this field) and {force-right, force-left,
-  /// cost-direction} (direction_policy), e.g.
+  /// side (kHashJoin is the E14 join-expand baseline). The environment
+  /// variable GQLITE_PLAN_MODE overrides this and the two fields around
+  /// it at engine construction — comma-separated tokens from {ltr,
+  /// greedy, dp} (planner mode), {adjacency, hashjoin, cost-expand}
+  /// (this field) and {force-right, force-left, cost-direction}
+  /// (direction_policy), e.g.
   /// `GQLITE_PLAN_MODE=dp,hashjoin,force-left`. The differential
   /// harness uses it to run both sides of every cost-based choice; a
   /// garbage token surfaces as an error from Prepare/Execute.
@@ -116,21 +115,6 @@ class PreparedQuery {
   PreparedPtr state_;
 };
 
-/// One statement execution, in structured form: the single request shape
-/// behind the Execute overload set (CypherEngine::Run). Exactly one of
-/// `text`/`prepared` supplies the statement — a valid `prepared` handle
-/// wins and `text` is ignored. `graph` optionally pins an explicit
-/// binding (a transaction's snapshot, or a registered graph to query
-/// directly); when null the engine resolves the binding per its
-/// auto-commit transaction rules (committed snapshot for reads, the
-/// writer head for updates).
-struct QueryRequest {
-  std::string_view text;
-  PreparedQuery prepared;
-  ValueMap params;
-  GraphPtr graph;
-};
-
 /// The public entry point of gqlite: parse → analyze → execute Cypher
 /// over an in-memory property graph (plus the Cypher 10 named-graph
 /// catalog).
@@ -171,31 +155,25 @@ struct QueryRequest {
 /// shared mutable state — in practice read-only after setup), and the
 /// engine-level rand() stream, which overlaps across concurrent
 /// engine-level statements (statements run through a Session draw from
-/// that session's own seeded substream instead). The
-/// graph()/graph_ptr() accessors bypass transactions entirely and stay
-/// single-caller setup APIs.
+/// that session's own seeded substream instead).
+///
+/// The default graph changes only through updating statements: its
+/// starting state is bound at open (Database::Open / OpenInMemory), and
+/// Snapshot() is the read-only view for inspection.
 class CypherEngine {
  public:
   explicit CypherEngine(EngineOptions options = {});
-  // Out-of-line (WorkerPool is incomplete here); moves keep working for
-  // factory helpers that return an engine by value.
+  // Out-of-line: WorkerPool is incomplete here. Not movable — a
+  // Database owns its engine through a unique_ptr.
   ~CypherEngine();
-  CypherEngine(CypherEngine&&) noexcept;
 
-  /// The implicit Cypher 9 global graph, bypassing the transaction layer
-  /// — a single-caller setup API (loading fixtures before queries run).
-  /// Mutating it concurrently with executing statements is a data race.
-  PropertyGraph& graph() { return *graph_; }
-  GraphPtr graph_ptr() { return graph_; }
-  /// Rebinds the implicit default graph. Also registers it in the
-  /// catalog; cached plans against the old graph are invalidated through
-  /// the catalog version bump. Under sessions the binding is pinned per
-  /// transaction: statements already running (and open transactions)
-  /// keep the graph they resolved at begin; later transactions see `g`.
-  /// Fails with kInvalidArgument on a durable database — its default
-  /// graph IS the recovered, WAL-backed store and cannot be swapped out
-  /// from under the log.
-  Status set_default_graph(GraphPtr g);
+  /// The committed state of the implicit Cypher 9 global graph: a frozen
+  /// snapshot (the one read statements execute against) that later
+  /// commits never change. For inspection — counting, printing results;
+  /// writes go through Execute or a Session write transaction.
+  std::shared_ptr<const PropertyGraph> Snapshot() EXCLUDES(txn_mu_) {
+    return ReadSnapshot();
+  }
   /// Registers a named graph in the catalog (convenience form for setup
   /// code — examples, benches, tests).
   void RegisterGraph(const std::string& name, GraphPtr g) {
@@ -230,11 +208,6 @@ class CypherEngine {
   Result<QueryResult> Execute(const PreparedQuery& prepared,
                               const ValueMap& params = {});
 
-  /// The structured entry point every Execute overload (and
-  /// Session::Execute) funnels into: one statement by text or prepared
-  /// handle, with parameters and an optional explicit graph binding.
-  Result<QueryResult> Run(const QueryRequest& req);
-
   /// Serializes the committed state as a new recovery baseline and
   /// truncates the write-ahead log (no-op without durable storage).
   /// Takes the writer slot for the duration: waits for an active write
@@ -242,8 +215,9 @@ class CypherEngine {
   /// written.
   Status Checkpoint();
 
-  /// Flushes any setup-API writes still pending and closes the bound
-  /// storage engine; later write commits fail. No-op without storage.
+  /// Waits out an active write transaction, detaches the WAL recorder
+  /// and closes the bound storage engine; later write commits fail.
+  /// No-op without storage.
   Status Close();
 
   /// Renders the physical plan for a read query (Volcano operators).
@@ -322,11 +296,12 @@ class CypherEngine {
   friend class Database;
 
   /// Installs the persistence layer: recovers the starting graph from
-  /// `storage` (checkpoint + WAL replay for the durable engine, a fresh
-  /// graph in-memory), binds it as the default graph, and — when the
-  /// engine is durable — attaches a WalRecorder so every committed
-  /// primitive mutation is appended to the log before the commit is
-  /// acknowledged. Called once, before any statement runs.
+  /// `storage` (checkpoint + WAL replay for the durable engine, the
+  /// caller's starting graph or a fresh one in memory), binds it as the
+  /// default graph, and — when the engine is durable — attaches a
+  /// WalRecorder so every committed primitive mutation is appended to
+  /// the log before the commit is acknowledged. Called once, before any
+  /// statement runs.
   Status BindStorage(std::unique_ptr<StorageEngine> storage);
 
   /// Applies the GQLITE_BATCH_SIZE / GQLITE_THREADS environment
@@ -353,18 +328,20 @@ class CypherEngine {
   // ---- MVCC transaction core (used by Execute and by Session) ----------
 
   /// The committed-state snapshot read statements execute against,
-  /// refreshed lazily: while no writer is active on the current head and
-  /// the head's data_version moved since the last snapshot, take a fresh
-  /// one. While a writer IS active on the head, returns the snapshot
-  /// taken at that writer's begin — readers never observe mid-transaction
-  /// state, and never touch head fields a writer may be mutating.
+  /// refreshed lazily: while no writer is active and the head's
+  /// data_version moved since the last snapshot, take a fresh one. While
+  /// a writer IS active, returns the snapshot taken at that writer's
+  /// begin — readers never observe mid-transaction state, and never
+  /// touch head fields a writer may be mutating. A frozen head (an
+  /// oracle bound to another engine's snapshot) is served as is.
   GraphPtr ReadSnapshot() EXCLUDES(txn_mu_);
   GraphPtr ReadSnapshotLocked() REQUIRES(txn_mu_);
   /// Takes the engine-wide single-writer slot and returns the live head
   /// graph pinned for the transaction. With `wait`, blocks until the
   /// slot frees (auto-commit statements); without, surfaces
   /// Status::Conflict (explicit Begin(kWrite) — the caller decides
-  /// whether to retry).
+  /// whether to retry). Fails with kInvalidArgument when the head is a
+  /// frozen snapshot (read-only database).
   Result<GraphPtr> AcquireWriter(bool wait) EXCLUDES(txn_mu_);
   /// Publishes the writer's changes (later ReadSnapshot calls see them)
   /// and frees the writer slot. With durable storage bound, the
@@ -385,9 +362,9 @@ class CypherEngine {
                                   const ValueMap& params,
                                   uint64_t* session_rand);
   /// Executes a prepared statement against an explicit graph binding —
-  /// the per-transaction pinned graph (satellite of ISSUE 7: the binding
-  /// is resolved ONCE, at transaction begin, so a concurrent
-  /// set_default_graph cannot rebind a statement mid-flight).
+  /// the per-transaction pinned graph (the binding is resolved ONCE, at
+  /// transaction begin, so a rollback that replaces the head cannot
+  /// rebind a statement mid-flight).
   /// `session_rand` (optional) is the calling session's PRNG substream;
   /// null uses the engine-wide stream (ISSUE 8 satellite: sessions stop
   /// contending on — and perturbing — one shared stream).
@@ -450,10 +427,9 @@ class CypherEngine {
   /// Error from parsing the environment overrides (OK when clean).
   Status options_status_ = Status::OK();
   GraphCatalog catalog_;
-  /// The live head of the default graph. Unannotated because the legacy
-  /// graph() accessor hands it out lock-free (setup-only contract);
-  /// every transactional path reads/writes it under txn_mu_.
-  GraphPtr graph_;
+  /// The live head of the default graph. Replaced only by BindStorage
+  /// (at open) and RollbackWriter.
+  GraphPtr graph_ GUARDED_BY(txn_mu_);
   PlanCache plan_cache_;
 
   /// Persistence layer (BindStorage). Null for engines constructed
@@ -463,8 +439,7 @@ class CypherEngine {
   /// own.
   std::unique_ptr<StorageEngine> storage_;
   /// Observes the live head's primitive mutations for the WAL; non-null
-  /// exactly when storage_ is durable. Harvested at commit (and at
-  /// writer-acquire, for setup-API writes that bypassed a transaction).
+  /// exactly when storage_ is durable (until Close). Harvested at commit.
   std::unique_ptr<WalRecorder> recorder_;
 
   /// Transaction coordination: the single-writer slot and the lazily
@@ -472,13 +447,8 @@ class CypherEngine {
   Mutex txn_mu_;
   CondVar txn_cv_;
   bool writer_active_ GUARDED_BY(txn_mu_) = false;
-  /// The head object the active writer pinned at begin (null when none).
-  /// Distinguishes "writer on this head" from "writer on a head that
-  /// set_default_graph has since replaced".
-  const PropertyGraph* writer_graph_ GUARDED_BY(txn_mu_) = nullptr;
   GraphPtr committed_snapshot_ GUARDED_BY(txn_mu_);
-  /// Which head object / data_version committed_snapshot_ was taken from.
-  const PropertyGraph* committed_src_ GUARDED_BY(txn_mu_) = nullptr;
+  /// The head's data_version committed_snapshot_ was taken at.
   uint64_t committed_version_ GUARDED_BY(txn_mu_) = 0;
 
   /// Guards the cumulative execution counters below. Executions

@@ -43,9 +43,10 @@ enum class TxnMode : uint8_t {
 ///    the writer slot instead of surfacing a conflict).
 ///
 /// The default-graph binding is pinned at Begin (and per statement in
-/// auto-commit): a concurrent set_default_graph never rebinds a
-/// transaction mid-flight. QueryResult tables are plain values and stay
-/// valid after Commit/Rollback and after the session is destroyed.
+/// auto-commit): another session's rollback, which replaces the live
+/// head, never rebinds a transaction mid-flight. QueryResult tables are
+/// plain values and stay valid after Commit/Rollback and after the
+/// session is destroyed.
 ///
 /// A Session object itself is single-threaded (not locked); concurrency
 /// comes from many sessions on many threads. Destroying a session with

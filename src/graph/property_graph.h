@@ -43,17 +43,20 @@ using PropertyList = std::vector<std::pair<std::string, Value>>;
 /// ## Versioned snapshots (MVCC substrate)
 ///
 /// Node/relationship slots live in fixed-size copy-on-write pages
-/// (kPageSize records behind a shared_ptr), and each label-index posting
-/// list is likewise a shared payload. Snapshot() produces a new
-/// PropertyGraph that SHARES every page with this one — O(slots/kPageSize)
-/// pointer copies plus a schema-sized interner clone, independent of data
-/// volume. After a snapshot, the first mutation touching a page clones
-/// just that page (epoch-tagged: a page is written in place only while
-/// this graph object owns it exclusively), so
+/// (kPageSize records behind a shared_ptr), and the label index holds one
+/// shared posting list per label (a Cow<std::vector<NodeId>>, not paged).
+/// Snapshot() produces a new PropertyGraph that SHARES every page and
+/// posting list with this one: it copies O(slots/kPageSize) page pointers
+/// plus schema-sized state (interners, one posting pointer per label, the
+/// count and statistics maps). After a snapshot, the first mutation
+/// touching a page clones just that page (epoch-tagged: a payload is
+/// written in place only while this graph object owns it exclusively), so
 ///  * a snapshot is deeply immutable — reader threads traverse it without
 ///    any locking while the live graph keeps committing, and
-///  * the live graph pays copy costs proportional to what it actually
-///    writes, not to graph size.
+///  * the live graph pays slot-page copies proportional to the pages it
+///    writes. Posting lists are the exception: after a snapshot, the
+///    first create, delete, label or unlabel of a node carrying a label
+///    copies that label's whole posting list.
 /// Snapshots are frozen: mutators on a frozen graph fail (Status-returning
 /// ones) or assert (infallible ones). The session layer (src/core/session)
 /// is the intended consumer; it hands frozen snapshots to readers and

@@ -567,11 +567,7 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
 
   std::set<std::string> rel_vars(rel_cols.begin(), rel_cols.end());
 
-  // Effective per-hop operator policy: the legacy E14 use_join_expand
-  // toggle is the hash-join force.
-  ExpandStrategy strategy = options_.use_join_expand
-                                ? ExpandStrategy::kHashJoin
-                                : options_.expand_strategy;
+  ExpandStrategy strategy = options_.expand_strategy;
   DirectionPolicy dirpol = options_.direction_policy;
 
   // Decide the whole chain up front: anchor, per-hop direction, and

@@ -25,12 +25,10 @@ namespace gqlite {
 struct PlannerOptions {
   enum class Mode { kGreedy, kLeftToRight, kDpStarts };
   Mode mode = Mode::kGreedy;
-  /// E14 baseline: replace adjacency Expand with a relationship-store
-  /// hash join (equivalent to forcing expand_strategy = kHashJoin).
-  bool use_join_expand = false;
   /// Per-hop physical-operator choice: kCost compares the adjacency
   /// Expand against the relationship-store hash join per step; the
-  /// forced values pin one side (differential-harness override).
+  /// forced values pin one side (differential-harness override;
+  /// kHashJoin is the E14 join-expand baseline).
   ExpandStrategy expand_strategy = ExpandStrategy::kCost;
   /// Anchor/expand-direction choice: kCost searches by estimated cost;
   /// kForceRight / kForceLeft pin the chain traversal direction.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -45,13 +46,18 @@ class StorageEngine {
   virtual Status Close() = 0;
 };
 
-/// No durability: Recover hands out a fresh graph; appends and
-/// checkpoints succeed without doing anything.
+/// No durability: Recover hands out the starting graph (a fresh one when
+/// none was given); appends and checkpoints succeed without doing
+/// anything.
 class InMemoryStorageEngine : public StorageEngine {
  public:
+  explicit InMemoryStorageEngine(std::shared_ptr<PropertyGraph> g = nullptr)
+      : initial_(std::move(g)) {}
+
   bool durable() const override { return false; }
   Result<std::shared_ptr<PropertyGraph>> Recover() override {
-    return std::make_shared<PropertyGraph>();
+    if (initial_ == nullptr) return std::make_shared<PropertyGraph>();
+    return std::move(initial_);
   }
   Status AppendCommit(std::vector<WalOp> /*ops*/) override {
     return Status::OK();
@@ -60,6 +66,10 @@ class InMemoryStorageEngine : public StorageEngine {
     return Status::OK();
   }
   Status Close() override { return Status::OK(); }
+
+ private:
+  /// Handed to the engine by the one Recover() call.
+  std::shared_ptr<PropertyGraph> initial_;
 };
 
 /// Directory-backed durability:

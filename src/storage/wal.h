@@ -23,8 +23,7 @@ namespace gqlite {
 ///   frames:  [u32 payload_len][u32 crc32c(payload)][payload]*
 ///   payload: [u64 lsn][u32 op_count][op]*
 ///
-/// One frame per committed transaction (plus one per flushed run of
-/// non-transactional setup writes). The writer appends the frame and
+/// One frame per committed transaction. The writer appends the frame and
 /// fdatasyncs BEFORE the commit is acknowledged; recovery accepts the
 /// longest prefix of frames whose length fits and whose CRC matches,
 /// and discards everything after the first torn/corrupt frame — which

@@ -19,6 +19,7 @@
 
 #include "src/core/engine.h"
 #include "src/core/session.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -55,12 +56,12 @@ TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
   readers.reserve(kReaderThreads);
   for (int t = 0; t < kReaderThreads; ++t) {
     readers.emplace_back([&engine, t] {
-      // One serial oracle per reader thread: interpreter mode, rebound
-      // to the pinned snapshot each round. Frozen snapshots are safe to
-      // share as a default graph (reads never mutate them).
+      // One serial oracle per round: interpreter mode, opened on the
+      // pinned snapshot. Frozen snapshots are safe to share as a
+      // starting graph (reads never mutate them, and the database
+      // serves them without a copy).
       EngineOptions oracle_opts;
       oracle_opts.mode = ExecutionMode::kInterpreter;
-      CypherEngine oracle(oracle_opts);
 
       auto session = engine.CreateSession();
       for (int round = 0; round < kReaderRounds; ++round) {
@@ -68,7 +69,7 @@ TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
         GraphPtr snap = session->graph();
         ASSERT_NE(snap, nullptr);
         ASSERT_TRUE(snap->frozen());
-        oracle.set_default_graph(snap);
+        Database oracle = testutil::OpenOn(snap, oracle_opts);
 
         int64_t pinned_nodes = -1;
         for (const char* q : kReadQueries) {

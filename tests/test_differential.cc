@@ -34,6 +34,7 @@
 
 #include "src/core/engine.h"
 #include "src/plan/runtime.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -448,20 +449,18 @@ TEST(Differential, RuntimesMatchTheOracle) {
   // The executor matrix. All engines share one read-only graph.
   EngineOptions interp_opts;
   interp_opts.mode = ExecutionMode::kInterpreter;
-  CypherEngine oracle(interp_opts);
-  oracle.set_default_graph(graph);
+  Database oracle = testutil::OpenOn(graph, interp_opts);
 
   struct Runtime {
     const char* name;
-    CypherEngine engine;
+    Database db;
   };
   std::vector<Runtime> runtimes;
   auto add_runtime = [&](const char* name, size_t batch, size_t threads) {
     EngineOptions opts;
     opts.batch_size = batch;
     opts.num_threads = threads;
-    runtimes.push_back({name, CypherEngine(opts)});
-    runtimes.back().engine.set_default_graph(graph);
+    runtimes.push_back({name, testutil::OpenOn(graph, opts)});
   };
   add_runtime("batch1", 1, 1);
   add_runtime("batch1024", 1024, 1);
@@ -483,7 +482,7 @@ TEST(Differential, RuntimesMatchTheOracle) {
     if (q.volcano_only) {
       // collect(): the serial batched runtime is the oracle (same plan =>
       // same row order feeding the list).
-      auto volcano_want = runtimes[kSerialBatched].engine.Execute(q.text);
+      auto volcano_want = runtimes[kSerialBatched].db.Execute(q.text);
       ASSERT_EQ(want.ok(), volcano_want.ok()) << q.text;
       if (!want.ok()) {
         ++oracle_errors;
@@ -498,7 +497,7 @@ TEST(Differential, RuntimesMatchTheOracle) {
       // mean the runtimes disagree about evaluation semantics.
       ++oracle_errors;
       for (auto& rt : runtimes) {
-        auto got = rt.engine.Execute(q.text);
+        auto got = rt.db.Execute(q.text);
         EXPECT_FALSE(got.ok()) << rt.name << " accepted what the "
                                << "interpreter rejected: " << q.text;
       }
@@ -508,7 +507,7 @@ TEST(Differential, RuntimesMatchTheOracle) {
     ++executed;
     for (auto& rt : runtimes) {
       if (q.volcano_only && &rt == &runtimes[kSerialBatched]) continue;
-      auto got = rt.engine.Execute(q.text);
+      auto got = rt.db.Execute(q.text);
       ASSERT_TRUE(got.ok()) << rt.name << ": " << got.status().ToString();
       EXPECT_TRUE(reference->SameBag(got->table))
           << rt.name << " diverges\noracle:\n" << reference->ToString()
@@ -524,10 +523,10 @@ TEST(Differential, RuntimesMatchTheOracle) {
   // claims to pin: most cases run, and the parallel engines really took
   // the parallel runtime (not the serial fallback) for a healthy share.
   EXPECT_GE(executed, kCases * 9 / 10) << oracle_errors << " oracle errors";
-  const auto& par4 = runtimes[4];
+  auto& par4 = runtimes[4];
   ASSERT_STREQ(par4.name, "parallel4");
   if (*eff_threads > 1) {
-    EXPECT_GE(par4.engine.parallel_stats().queries,
+    EXPECT_GE(par4.db.engine().parallel_stats().queries,
               static_cast<uint64_t>(executed) / 2)
         << "most generated queries should hit the parallel runtime";
   }
@@ -545,20 +544,18 @@ TEST(Differential, ParallelBreakersMatchTheOracle) {
   GraphPtr graph = MakeDifferentialGraph(0xB2EA4E25ULL);
   EngineOptions interp_opts;
   interp_opts.mode = ExecutionMode::kInterpreter;
-  CypherEngine oracle(interp_opts);
-  oracle.set_default_graph(graph);
+  Database oracle = testutil::OpenOn(graph, interp_opts);
 
   struct Runtime {
     const char* name;
-    CypherEngine engine;
+    Database db;
   };
   std::vector<Runtime> runtimes;
   auto add_runtime = [&](const char* name, size_t batch, size_t threads) {
     EngineOptions opts;
     opts.batch_size = batch;
     opts.num_threads = threads;
-    runtimes.push_back({name, CypherEngine(opts)});
-    runtimes.back().engine.set_default_graph(graph);
+    runtimes.push_back({name, testutil::OpenOn(graph, opts)});
   };
   add_runtime("batch1", 1, 1);
   add_runtime("batch1024", 1024, 1);
@@ -575,7 +572,7 @@ TEST(Differential, ParallelBreakersMatchTheOracle) {
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ++executed;
     for (auto& rt : runtimes) {
-      auto got = rt.engine.Execute(q.text);
+      auto got = rt.db.Execute(q.text);
       ASSERT_TRUE(got.ok()) << rt.name << ": " << got.status().ToString();
       EXPECT_TRUE(want->table.SameBag(got->table))
           << rt.name << " diverges\noracle:\n" << want->table.ToString()
@@ -592,7 +589,8 @@ TEST(Differential, ParallelBreakersMatchTheOracle) {
   // regressing into serial-fallback or concat-only shapes would hollow
   // out everything this test claims to pin.
   if (*eff_threads > 1) {
-    CypherEngine::ParallelStats ps = runtimes.back().engine.parallel_stats();
+    CypherEngine::ParallelStats ps =
+        runtimes.back().db.engine().parallel_stats();
     uint64_t breaker_runs =
         ps.sort_merges + ps.agg_merges + ps.distinct_merges;
     EXPECT_GE(breaker_runs, static_cast<uint64_t>(executed) / 2)

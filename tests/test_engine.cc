@@ -106,7 +106,7 @@ TEST(Engine, SetRemoveDelete) {
   auto del = engine.Execute("MATCH (n:X) DELETE n");
   ASSERT_TRUE(del.ok());
   EXPECT_EQ(del->stats.nodes_deleted, 2);
-  EXPECT_EQ(engine.graph().NumNodes(), 0u);
+  EXPECT_EQ(engine.Snapshot()->NumNodes(), 0u);
 }
 
 TEST(Engine, DeleteWithRelationshipsRequiresDetach) {
@@ -136,7 +136,7 @@ TEST(Engine, MergeMatchesOrCreates) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->stats.nodes_created, 0);
   EXPECT_TRUE(second->table.rows()[0][1].AsBool());
-  EXPECT_EQ(engine.graph().NumNodes(), 1u);
+  EXPECT_EQ(engine.Snapshot()->NumNodes(), 1u);
 }
 
 TEST(Engine, MergeRelationship) {
@@ -151,7 +151,7 @@ TEST(Engine, MergeRelationship) {
   auto second = engine.Execute(q);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->stats.rels_created, 0);
-  EXPECT_EQ(engine.graph().NumRels(), 1u);
+  EXPECT_EQ(engine.Snapshot()->NumRels(), 1u);
 }
 
 TEST(Engine, ParametersAndInjectionSafety) {

@@ -20,6 +20,7 @@
 
 #include "src/core/engine.h"
 #include "src/plan/runtime.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -157,8 +158,7 @@ TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
 
   EngineOptions interp_opts;
   interp_opts.mode = ExecutionMode::kInterpreter;
-  CypherEngine oracle(interp_opts);
-  oracle.set_default_graph(graph);
+  Database oracle = testutil::OpenOn(graph, interp_opts);
 
   // Every forced (expand strategy, direction) corner plus the cost-based
   // default, each across the five executor legs.
@@ -187,7 +187,7 @@ TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
 
   struct Runtime {
     std::string name;
-    CypherEngine engine;
+    Database db;
   };
   std::vector<Runtime> runtimes;
   for (const Config& c : configs) {
@@ -200,8 +200,7 @@ TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
       runtimes.push_back({std::string(c.name) + "/b" +
                               std::to_string(l.batch) + "t" +
                               std::to_string(l.threads),
-                          CypherEngine(opts)});
-      runtimes.back().engine.set_default_graph(graph);
+                          testutil::OpenOn(graph, opts)});
     }
   }
 
@@ -215,7 +214,7 @@ TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ++executed;
     for (auto& rt : runtimes) {
-      auto got = rt.engine.Execute(q.text);
+      auto got = rt.db.Execute(q.text);
       ASSERT_TRUE(got.ok()) << rt.name << ": " << got.status().ToString();
       EXPECT_TRUE(want->table.SameBag(got->table))
           << rt.name << " diverges\noracle:\n"

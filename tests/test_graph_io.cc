@@ -14,17 +14,18 @@ namespace gqlite {
 namespace {
 
 /// Structural equivalence good enough for round-trip checks: counts per
-/// label/type, plus every query in `probes` returning the same bag.
-void ExpectEquivalent(GraphPtr a, GraphPtr b,
+/// label/type, plus every query in `probes` returning the same bag on
+/// `a` and on the default graph of `reloaded`.
+void ExpectEquivalent(GraphPtr a, CypherEngine& reloaded,
                       const std::vector<std::string>& probes) {
+  std::shared_ptr<const PropertyGraph> b = reloaded.Snapshot();
   ASSERT_EQ(a->NumNodes(), b->NumNodes());
   ASSERT_EQ(a->NumRels(), b->NumRels());
   for (const std::string& q : probes) {
-    CypherEngine ea, eb;
+    CypherEngine ea;
     ea.RegisterGraph("g", a);
-    eb.RegisterGraph("g", b);
     auto ra = ea.Execute("FROM GRAPH g " + q);
-    auto rb = eb.Execute("FROM GRAPH g " + q);
+    auto rb = reloaded.Execute(q);
     ASSERT_TRUE(ra.ok()) << q << ra.status().ToString();
     ASSERT_TRUE(rb.ok()) << q << rb.status().ToString();
     EXPECT_TRUE(ra->table.SameBag(rb->table))
@@ -33,14 +34,15 @@ void ExpectEquivalent(GraphPtr a, GraphPtr b,
   }
 }
 
-GraphPtr Reload(const PropertyGraph& g) {
+/// Runs g's dump script on `engine` and returns the committed result.
+std::shared_ptr<const PropertyGraph> Reload(const PropertyGraph& g,
+                                            CypherEngine* engine) {
   std::string script = DumpToCypher(g);
-  CypherEngine engine;
   if (!script.empty()) {
-    auto r = engine.Execute(script);
+    auto r = engine->Execute(script);
     EXPECT_TRUE(r.ok()) << r.status().ToString() << "\nscript:\n" << script;
   }
-  return engine.graph_ptr();
+  return engine->Snapshot();
 }
 
 TEST(GraphIo, EmptyGraph) {
@@ -50,7 +52,8 @@ TEST(GraphIo, EmptyGraph) {
 
 TEST(GraphIo, PaperFigure1RoundTrip) {
   workload::PaperFigure1 fig = workload::MakePaperFigure1Graph();
-  GraphPtr reloaded = Reload(*fig.graph);
+  CypherEngine reloaded;
+  Reload(*fig.graph, &reloaded);
   ExpectEquivalent(
       fig.graph, reloaded,
       {"MATCH (r:Researcher) RETURN r.name ORDER BY r.name",
@@ -73,7 +76,8 @@ TEST(GraphIo, EscapingAndValueKinds) {
                 {"map", Value::MakeMap({{"inner key", Value::Int(1)}})},
                 {"d", Value::Temporal(Date::FromYmd(2018, 6, 10))},
                 {"dur", Value::Temporal(Duration::Make(14, 3, 60, 0))}});
-  GraphPtr reloaded = Reload(g);
+  CypherEngine engine;
+  std::shared_ptr<const PropertyGraph> reloaded = Reload(g, &engine);
   ASSERT_EQ(reloaded->NumNodes(), 1u);
   NodeId n{0};
   EXPECT_EQ(reloaded->NodeProperty(n, "s").AsString(),
@@ -91,7 +95,8 @@ TEST(GraphIo, EscapingAndValueKinds) {
 
 TEST(GraphIo, RandomGraphRoundTrip) {
   GraphPtr g = workload::MakeRandomGraph(40, 80, 2024);
-  GraphPtr reloaded = Reload(*g);
+  CypherEngine reloaded;
+  Reload(*g, &reloaded);
   ExpectEquivalent(g, reloaded,
                    {"MATCH (a:A) RETURN count(*)",
                     "MATCH ()-[r:T]->() RETURN r.w, count(*) ORDER BY r.w",
@@ -105,7 +110,8 @@ TEST(GraphIo, DeletedEntitiesAreNotDumped) {
   NodeId b = g.CreateNode({"Drop"});
   g.CreateRelationship(a, b, "T").value();
   ASSERT_TRUE(g.DetachDeleteNode(b).ok());
-  GraphPtr reloaded = Reload(g);
+  CypherEngine engine;
+  std::shared_ptr<const PropertyGraph> reloaded = Reload(g, &engine);
   EXPECT_EQ(reloaded->NumNodes(), 1u);
   EXPECT_EQ(reloaded->NumRels(), 0u);
   EXPECT_EQ(reloaded->NodesWithLabel("Drop").size(), 0u);

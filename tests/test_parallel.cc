@@ -19,6 +19,7 @@
 #include "src/interp/projection.h"
 #include "src/plan/runtime.h"
 #include "src/workload/generators.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -431,20 +432,18 @@ GraphPtr TestGraph() {
   return g;
 }
 
-CypherEngine ParallelEngine(size_t threads) {
+Database OpenParallel(size_t threads) {
   EngineOptions opts;
   opts.num_threads = threads;
-  CypherEngine engine(opts);
-  engine.set_default_graph(TestGraph());
-  return engine;
+  return testutil::OpenOn(TestGraph(), opts);
 }
 
 TEST(ParallelEngine, MatchesSerialVolcano) {
   if (!EffectiveNumThreads(4).ok() || *EffectiveNumThreads(4) != 4u) {
     GTEST_SKIP() << "GQLITE_THREADS overrides this test's thread count";
   }
-  CypherEngine serial = ParallelEngine(1);
-  CypherEngine par = ParallelEngine(4);
+  Database serial = OpenParallel(1);
+  Database par = OpenParallel(4);
   for (const char* q : {
            "MATCH (n) RETURN count(*) AS c",
            "MATCH (a:A)-[:T]->(b) RETURN count(*) AS c, sum(a.v) AS s",
@@ -463,15 +462,15 @@ TEST(ParallelEngine, MatchesSerialVolcano) {
       EXPECT_EQ(want->table.ToString(), got->table.ToString()) << q;
     }
   }
-  EXPECT_GE(par.parallel_stats().queries, 4u);
-  EXPECT_GT(par.parallel_stats().morsels, 0u);
+  EXPECT_GE(par.engine().parallel_stats().queries, 4u);
+  EXPECT_GT(par.engine().parallel_stats().morsels, 0u);
 }
 
 TEST(ParallelEngine, ExplainSurfacesWorkersAndSerialReasons) {
-  CypherEngine par = ParallelEngine(4);
+  Database par = OpenParallel(4);
   // GQLITE_THREADS (the sanitizer CI legs) overrides the requested 4; the
   // reason strings below only print for a parallel-capable engine.
-  size_t effective = par.options().num_threads;
+  size_t effective = par.engine().options().num_threads;
   if (effective <= 1) {
     GTEST_SKIP() << "GQLITE_THREADS forces serial execution";
   }
@@ -532,7 +531,7 @@ TEST(ParallelEngine, ExplainSurfacesWorkersAndSerialReasons) {
   // Every executed fallback above was counted under its reason
   // (satellite: parallel-coverage regressions are observable in
   // aggregate, not just per-query via EXPLAIN).
-  CypherEngine::ParallelStats ps = par.parallel_stats();
+  CypherEngine::ParallelStats ps = par.engine().parallel_stats();
   ASSERT_FALSE(ps.serial_reasons.empty());
   uint64_t fallbacks = 0;
   for (const auto& [reason, count] : ps.serial_reasons) fallbacks += count;
@@ -542,9 +541,8 @@ TEST(ParallelEngine, ExplainSurfacesWorkersAndSerialReasons) {
 TEST(ParallelEngine, SerialFallbacksMatchInterpreter) {
   EngineOptions iopts;
   iopts.mode = ExecutionMode::kInterpreter;
-  CypherEngine interp(iopts);
-  interp.set_default_graph(TestGraph());
-  CypherEngine par = ParallelEngine(3);
+  Database interp = testutil::OpenOn(TestGraph(), iopts);
+  Database par = OpenParallel(3);
   for (const char* q : {
            "MATCH (n:A) RETURN n.v AS v UNION MATCH (m:B) RETURN m.v AS v",
            "MATCH (n) WITH n.v AS v ORDER BY v LIMIT 5 RETURN v",
@@ -562,8 +560,8 @@ TEST(ParallelEngine, SerialFallbacksMatchInterpreter) {
 }
 
 TEST(ParallelEngine, ProfileReportsWorkersAndMorsels) {
-  CypherEngine par = ParallelEngine(2);
-  if (par.options().num_threads <= 1) {
+  Database par = OpenParallel(2);
+  if (par.engine().options().num_threads <= 1) {
     GTEST_SKIP() << "GQLITE_THREADS forces serial execution";
   }
   auto prof = par.Profile("MATCH (a)-[:T]->(b) RETURN count(*) AS c");
@@ -597,20 +595,20 @@ TEST(ParallelEngine, PlanCacheKeySeparatesThreadCounts) {
   if (!EffectiveNumThreads(2).ok() || *EffectiveNumThreads(2) != 2u) {
     GTEST_SKIP() << "GQLITE_THREADS overrides this test's thread count";
   }
-  CypherEngine engine = ParallelEngine(2);
+  Database db = OpenParallel(2);
   const char* q = "MATCH (n) RETURN count(*) AS c";
-  auto first = engine.Execute(q);
+  auto first = db.Execute(q);
   ASSERT_TRUE(first.ok());
-  auto second = engine.Execute(q);
+  auto second = db.Execute(q);
   ASSERT_TRUE(second.ok());
-  EXPECT_GE(engine.plan_cache_stats().hits, 1u);
+  EXPECT_GE(db.engine().plan_cache_stats().hits, 1u);
   EXPECT_TRUE(first->table.SameBag(second->table));
   // Re-keying through set_options: a different worker count must not
   // reuse the 2-thread plan (its baked-in instances are wrong).
-  EngineOptions opts = engine.options();
+  EngineOptions opts = db.engine().options();
   opts.num_threads = 1;
-  engine.set_options(opts);
-  auto serial = engine.Execute(q);
+  db.engine().set_options(opts);
+  auto serial = db.Execute(q);
   ASSERT_TRUE(serial.ok());
   EXPECT_TRUE(first->table.SameBag(serial->table));
 }
@@ -651,10 +649,9 @@ TEST(ParallelEngine, ErrorDuringDrainIsDeterministicAndNonPoisoning) {
   }
   EngineOptions opts;
   opts.num_threads = 4;
-  CypherEngine engine(opts);
-  engine.set_default_graph(g);
+  Database db = testutil::OpenOn(g, opts);
   for (int run = 0; run < 5; ++run) {
-    auto r = engine.Execute("MATCH (n:P) RETURN 1 / n.v AS x");
+    auto r = db.Execute("MATCH (n:P) RETURN 1 / n.v AS x");
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.status().ToString().find("division by zero"),
               std::string::npos)
@@ -662,7 +659,7 @@ TEST(ParallelEngine, ErrorDuringDrainIsDeterministicAndNonPoisoning) {
   }
   // Survivors drained their morsels and the pool is intact: the engine
   // keeps answering queries after the failure.
-  auto ok = engine.Execute("MATCH (n:P) WHERE n.v = 1 RETURN count(*) AS c");
+  auto ok = db.Execute("MATCH (n:P) WHERE n.v = 1 RETURN count(*) AS c");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->table.rows()[0][0].AsInt(), 598);
 }
@@ -681,9 +678,8 @@ TEST(ParallelEngine, MergeOnlySumOverflowStillRaises) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     EngineOptions opts;
     opts.num_threads = threads;
-    CypherEngine engine(opts);
-    engine.set_default_graph(g);
-    auto r = engine.Execute("MATCH (n:P) RETURN sum(n.v) AS s");
+    Database db = testutil::OpenOn(g, opts);
+    auto r = db.Execute("MATCH (n:P) RETURN sum(n.v) AS s");
     ASSERT_FALSE(r.ok()) << threads << " workers";
     EXPECT_NE(r.status().ToString().find("overflow"), std::string::npos)
         << threads << " workers: " << r.status().ToString();
@@ -698,9 +694,9 @@ TEST(ParallelEngine, IntermediateWithBreakersAreByteIdentical) {
   // merge stage, the clauses above it (aggregation, final RETURN) run
   // serially on the preloaded result. Output must be byte-identical to
   // the serial engine at every worker count.
-  CypherEngine serial = ParallelEngine(1);
-  CypherEngine par2 = ParallelEngine(2);
-  CypherEngine par4 = ParallelEngine(4);
+  Database serial = OpenParallel(1);
+  Database par2 = OpenParallel(2);
+  Database par4 = OpenParallel(4);
   for (const char* q : {
            "MATCH (n) WITH n.v AS v ORDER BY v LIMIT 7 "
            "RETURN count(*) AS c, sum(v) AS s",
@@ -712,15 +708,15 @@ TEST(ParallelEngine, IntermediateWithBreakersAreByteIdentical) {
        }) {
     auto want = serial.Execute(q);
     ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
-    for (CypherEngine* e : {&par2, &par4}) {
+    for (Database* e : {&par2, &par4}) {
       auto got = e->Execute(q);
       ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
       EXPECT_EQ(want->table.ToString(), got->table.ToString())
-          << e->options().num_threads << " workers: " << q;
+          << e->engine().options().num_threads << " workers: " << q;
     }
   }
-  EXPECT_GE(par4.parallel_stats().sort_merges +
-                par4.parallel_stats().distinct_merges,
+  EXPECT_GE(par4.engine().parallel_stats().sort_merges +
+                par4.engine().parallel_stats().distinct_merges,
             4u)
       << "the breaker queries above must take the parallel merge paths";
 }
@@ -730,16 +726,16 @@ TEST(ParallelEngine, StatsReadableWhileQueriesExecute) {
   // executes parallel queries. Execution accumulates into locals and
   // folds under stats_mu_ once per query, so this is TSan-clean (the CI
   // TSan leg runs this suite) and the counters never go backwards.
-  CypherEngine engine = ParallelEngine(4);
+  Database db = OpenParallel(4);
   AtomicCounter stop;
   uint64_t last_queries = 0;
   bool monotonic = true;
   std::thread reader([&] {
     while (stop.Load() == 0) {
-      BatchStats bs = engine.exec_stats();
-      uint64_t q = engine.exec_queries();
-      CypherEngine::ParallelStats ps = engine.parallel_stats();
-      PlanCacheStats cs = engine.plan_cache_stats();
+      BatchStats bs = db.engine().exec_stats();
+      uint64_t q = db.engine().exec_queries();
+      CypherEngine::ParallelStats ps = db.engine().parallel_stats();
+      PlanCacheStats cs = db.engine().plan_cache_stats();
       if (q < last_queries || bs.rows < 0 || ps.morsels > ps.queries * 1000 ||
           cs.hits + cs.misses > 1u << 30) {
         monotonic = false;
@@ -749,13 +745,13 @@ TEST(ParallelEngine, StatsReadableWhileQueriesExecute) {
   });
   constexpr int kQueries = 30;
   for (int i = 0; i < kQueries; ++i) {
-    auto r = engine.Execute("MATCH (a)-[:T]->(b) RETURN count(*) AS c");
+    auto r = db.Execute("MATCH (a)-[:T]->(b) RETURN count(*) AS c");
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   stop.Store(1);
   reader.join();
   EXPECT_TRUE(monotonic);
-  EXPECT_EQ(engine.exec_queries(), static_cast<uint64_t>(kQueries));
+  EXPECT_EQ(db.engine().exec_queries(), static_cast<uint64_t>(kQueries));
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ const char* kCorpus[] = {
 
 Result<Table> RunVolcano(GraphPtr graph, const std::string& query,
                          PlannerOptions::Mode mode,
-                         bool use_join_expand = false) {
+                         ExpandStrategy expand = ExpandStrategy::kCost) {
   GQL_ASSIGN_OR_RETURN(ast::Query q, ParseQuery(query));
   GQL_ASSIGN_OR_RETURN(QueryInfo info, Analyze(q));
   (void)info;
@@ -87,7 +87,7 @@ Result<Table> RunVolcano(GraphPtr graph, const std::string& query,
   ValueMap params;
   PlannerOptions opts;
   opts.mode = mode;
-  opts.use_join_expand = use_join_expand;
+  opts.expand_strategy = expand;
   // This harness drives RunPlanned below CypherEngine, so it must honor
   // the CI morsel-size override itself (the batch-size-1 sanitizer leg
   // relies on this corpus walking the batch-boundary resume paths).
@@ -119,7 +119,8 @@ TEST_P(ParityTest, InterpreterVsVolcanoOnRandomGraphs) {
     }
     // The hash-join expand baseline must also agree (E14 is about speed,
     // not results).
-    auto joined = RunVolcano(g, query, PlannerOptions::Mode::kGreedy, true);
+    auto joined = RunVolcano(g, query, PlannerOptions::Mode::kGreedy,
+                             ExpandStrategy::kHashJoin);
     ASSERT_TRUE(joined.ok()) << query << "\n  " << joined.status().ToString();
     EXPECT_TRUE(reference->SameBag(*joined)) << query;
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
+#include "src/core/session.h"
 #include "src/frontend/canonicalize.h"
 #include "src/frontend/parser.h"
 
@@ -327,8 +328,10 @@ TEST(PlanCache, DifferentEngineOptionsDoNotShareEntries) {
   MustRun(engine, "CREATE ({v: 1})-[:T]->({v: 2})");
   const std::string q = "MATCH (a)-[:T]->(b) RETURN count(*) AS c";
   MustRun(engine, q);
+  // max_var_length is part of the fingerprint and, unlike the planner
+  // fields, never rewritten by an environment override.
   EngineOptions opts = engine.options();
-  opts.use_join_expand = true;
+  opts.max_var_length = 10;
   engine.set_options(opts);
   MustRun(engine, q);  // different fingerprint → separate entry
   EXPECT_EQ(engine.plan_cache_size(), 2u);
@@ -363,19 +366,20 @@ TEST(PlanCache, SweepReleasesStaleEntriesOnCatalogChange) {
   MustRun(engine, "CREATE ({v: 1})");
   MustRun(engine, "MATCH (n) RETURN n.v AS v");
   EXPECT_EQ(engine.plan_cache_size(), 1u);
-  // Rebinding the default graph strands the entry; the next read query
-  // (any key) sweeps it so the old graph is released promptly.
-  auto replacement = std::make_shared<PropertyGraph>();
-  replacement->CreateNode({}, {{"v", Value::Int(2)}});
-  engine.set_default_graph(replacement);
+  // A write rollback re-registers the restored default graph, which
+  // strands the entry; the next read query (any key) sweeps it so the
+  // abandoned head is released promptly.
+  auto writer = engine.CreateSession();
+  ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
+  ASSERT_TRUE(writer->Execute("CREATE ({v: 2})").ok());
+  ASSERT_TRUE(writer->Rollback().ok());
   MustRun(engine, "MATCH (m) RETURN count(*) AS c");
   EXPECT_EQ(engine.plan_cache_size(), 1u);  // stale entry swept
   EXPECT_GE(engine.plan_cache_stats().invalidations, 1u);
-  // And queries actually see the new default graph.
-  EXPECT_EQ(MustRun(engine, "MATCH (n) RETURN n.v AS v")
-                .table.rows()[0][0]
-                .AsInt(),
-            2);
+  // And queries actually see the restored default graph.
+  auto r = MustRun(engine, "MATCH (n) RETURN n.v AS v");
+  ASSERT_EQ(r.table.NumRows(), 1u);
+  EXPECT_EQ(r.table.rows()[0][0].AsInt(), 1);
 }
 
 // ---- Prepare / Execute -----------------------------------------------------

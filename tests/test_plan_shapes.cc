@@ -9,14 +9,14 @@
 #include <string>
 
 #include "src/core/engine.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
 
 /// 60 :A nodes, 2 :B nodes, one :R edge into each :B. Anchoring at :B
 /// and expanding right-to-left touches ~2 rows; left-to-right ~60.
-CypherEngine MakeLopsidedEngine(EngineOptions opts) {
-  CypherEngine engine(std::move(opts));
+Database MakeLopsidedDatabase(EngineOptions opts) {
   auto g = std::make_shared<PropertyGraph>();
   std::vector<NodeId> as;
   for (int i = 0; i < 60; ++i) {
@@ -26,13 +26,12 @@ CypherEngine MakeLopsidedEngine(EngineOptions opts) {
     NodeId b = g->CreateNode({"B"}, {{"id", Value::Int(100 + i)}});
     EXPECT_TRUE(g->CreateRelationship(as[i], b, "R", {}).ok());
   }
-  engine.set_default_graph(g);
-  return engine;
+  return testutil::OpenOn(g, std::move(opts));
 }
 
 TEST(PlanShapes, CostModeAnchorsAtTheSelectiveLabel) {
-  CypherEngine engine = MakeLopsidedEngine(EngineOptions{});
-  auto e = engine.Explain("MATCH (a:A)-[:R]->(b:B) RETURN a.id");
+  Database db = MakeLopsidedDatabase(EngineOptions{});
+  auto e = db.Explain("MATCH (a:A)-[:R]->(b:B) RETURN a.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   // Anchor at :B (2 nodes), expand the hop right-to-left.
   EXPECT_NE(e->find("NodeByLabelScan(b:B)"), std::string::npos) << *e;
@@ -43,19 +42,18 @@ TEST(PlanShapes, CostModeAnchorsAtTheSelectiveLabel) {
 TEST(PlanShapes, ForceRightOverridesTheCostChoice) {
   EngineOptions opts;
   opts.direction_policy = DirectionPolicy::kForceRight;
-  CypherEngine engine = MakeLopsidedEngine(std::move(opts));
-  auto e = engine.Explain("MATCH (a:A)-[:R]->(b:B) RETURN a.id");
+  Database db = MakeLopsidedDatabase(std::move(opts));
+  auto e = db.Explain("MATCH (a:A)-[:R]->(b:B) RETURN a.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE(e->find("NodeByLabelScan(a:A)"), std::string::npos) << *e;
   EXPECT_NE(e->find("Expand(a->:R->b)"), std::string::npos) << *e;
 }
 
 TEST(PlanShapes, UniquePropertyEqualityWinsTheAnchor) {
-  CypherEngine engine = MakeLopsidedEngine(EngineOptions{});
+  Database db = MakeLopsidedDatabase(EngineOptions{});
   // b:B is rare (2 nodes), but a.id = 3 is unique (NDV 62 over 62
   // nodes): ~60/62 < 2 candidate rows, so the anchor goes to a.
-  auto e = engine.Explain(
-      "MATCH (a:A)-[:R]->(b:B) WHERE a.id = 3 RETURN b.id");
+  auto e = db.Explain("MATCH (a:A)-[:R]->(b:B) WHERE a.id = 3 RETURN b.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE(e->find("NodeByLabelScan(a:A)"), std::string::npos) << *e;
   EXPECT_NE(e->find("Expand(a->:R->b)"), std::string::npos) << *e;
@@ -64,8 +62,7 @@ TEST(PlanShapes, UniquePropertyEqualityWinsTheAnchor) {
 /// Hub nodes drowning in untyped :X edges while :T is rare: an
 /// adjacency expand from (a) scans ~200 edges per row to find the one
 /// :T, a hash-join expand reads the 10-row :T relationship store once.
-CypherEngine MakeNoisyAdjacencyEngine(EngineOptions opts) {
-  CypherEngine engine(std::move(opts));
+Database MakeNoisyAdjacencyDatabase(EngineOptions opts) {
   auto g = std::make_shared<PropertyGraph>();
   std::vector<NodeId> nodes;
   for (int i = 0; i < 40; ++i) {
@@ -82,8 +79,7 @@ CypherEngine MakeNoisyAdjacencyEngine(EngineOptions opts) {
     EXPECT_TRUE(
         g->CreateRelationship(nodes[i], nodes[(i + 7) % 40], "T", {}).ok());
   }
-  engine.set_default_graph(g);
-  return engine;
+  return testutil::OpenOn(g, std::move(opts));
 }
 
 TEST(PlanShapes, FanOutFrontierPicksHashJoin) {
@@ -94,8 +90,8 @@ TEST(PlanShapes, FanOutFrontierPicksHashJoin) {
   // can't sidestep the scenario by walking the chain backwards.
   EngineOptions opts;
   opts.direction_policy = DirectionPolicy::kForceRight;
-  CypherEngine engine = MakeNoisyAdjacencyEngine(std::move(opts));
-  auto e = engine.Explain("MATCH (a:N)-[:X]->(b)-[:T]->(c) RETURN c.id");
+  Database db = MakeNoisyAdjacencyDatabase(std::move(opts));
+  auto e = db.Explain("MATCH (a:N)-[:X]->(b)-[:T]->(c) RETURN c.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE(e->find("HashJoinExpand"), std::string::npos) << *e;
   EXPECT_NE(e->find("Expand(a->:X->b)"), std::string::npos) << *e;
@@ -104,8 +100,8 @@ TEST(PlanShapes, FanOutFrontierPicksHashJoin) {
 TEST(PlanShapes, ForcedAdjacencyOverridesTheJoinChoice) {
   EngineOptions opts;
   opts.expand_strategy = ExpandStrategy::kAdjacency;
-  CypherEngine engine = MakeNoisyAdjacencyEngine(std::move(opts));
-  auto e = engine.Explain("MATCH (a:N)-[:T]->(b) RETURN b.id");
+  Database db = MakeNoisyAdjacencyDatabase(std::move(opts));
+  auto e = db.Explain("MATCH (a:N)-[:T]->(b) RETURN b.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_EQ(e->find("HashJoinExpand"), std::string::npos) << *e;
   EXPECT_NE(e->find("Expand("), std::string::npos) << *e;
@@ -114,17 +110,17 @@ TEST(PlanShapes, ForcedAdjacencyOverridesTheJoinChoice) {
 TEST(PlanShapes, ForcedHashJoinAppliesToRigidHops) {
   EngineOptions opts;
   opts.expand_strategy = ExpandStrategy::kHashJoin;
-  CypherEngine engine = MakeLopsidedEngine(std::move(opts));
-  auto e = engine.Explain("MATCH (a:A)-[:R]->(b:B) RETURN a.id");
+  Database db = MakeLopsidedDatabase(std::move(opts));
+  auto e = db.Explain("MATCH (a:A)-[:R]->(b:B) RETURN a.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE(e->find("HashJoinExpand"), std::string::npos) << *e;
 }
 
 TEST(PlanShapes, EstimatesShrinkThroughSelectiveFilters) {
-  CypherEngine engine = MakeLopsidedEngine(EngineOptions{});
+  Database db = MakeLopsidedDatabase(EngineOptions{});
   // The scan estimate reflects the label count; a filtered estimate is
   // annotated on the FilterOp and is smaller than the scan's.
-  auto e = engine.Explain("MATCH (a:A) WHERE a.id = 3 RETURN a.id");
+  auto e = db.Explain("MATCH (a:A) WHERE a.id = 3 RETURN a.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE(e->find("NodeByLabelScan(a:A)  (est. rows: 60)"),
             std::string::npos)
@@ -137,8 +133,8 @@ TEST(PlanShapes, VarLengthKeepsAdjacencyUnderForcedHashJoin) {
   // var-length hops (they stay VarLengthExpand).
   EngineOptions opts;
   opts.expand_strategy = ExpandStrategy::kHashJoin;
-  CypherEngine engine = MakeLopsidedEngine(std::move(opts));
-  auto e = engine.Explain("MATCH (a:B)-[:R*1..2]->(b) RETURN b.id");
+  Database db = MakeLopsidedDatabase(std::move(opts));
+  auto e = db.Explain("MATCH (a:B)-[:R*1..2]->(b) RETURN b.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE(e->find("VarLengthExpand"), std::string::npos) << *e;
   EXPECT_EQ(e->find("HashJoinExpand"), std::string::npos) << *e;

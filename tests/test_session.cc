@@ -1,11 +1,13 @@
 // Session / transaction semantics: snapshot isolation for readers,
-// single-writer conflicts, rollback, default-graph pinning, and
-// plan-cache invalidation visibility across sessions.
+// single-writer conflicts, rollback, starting graphs bound at open, the
+// read-only Snapshot() view, and plan-cache invalidation visibility
+// across sessions.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
+#include "src/core/database.h"
 #include "src/core/engine.h"
 #include "src/core/session.h"
 
@@ -196,30 +198,93 @@ TEST(Session, PlanCacheInvalidationVisibleAcrossSessions) {
             warm.invalidations + warm.misses);
 }
 
-TEST(Session, DefaultGraphBindingPinnedAtBegin) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine.Execute("CREATE (:Old)").ok());
+TEST(Session, OpenInMemoryStartsFromTheGivenGraph) {
+  auto g = std::make_shared<PropertyGraph>();
+  g->CreateNode({"A"});
+  g->CreateNode({"A"});
+  auto opened = Database::OpenInMemory({}, g);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Database db = std::move(*opened);
+  auto count = [&db] {
+    auto r = db.Execute("MATCH (n:A) RETURN count(n) AS c");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r->table.rows()[0][0].AsInt();
+  };
+  EXPECT_EQ(count(), 2);
 
-  auto reader = engine.CreateSession();
+  // A committed write transaction is visible to later reads.
+  auto session = db.CreateSession();
+  ASSERT_TRUE(session->Begin(TxnMode::kWrite).ok());
+  ASSERT_TRUE(session->Execute("CREATE (:A)").ok());
+  ASSERT_TRUE(session->Commit().ok());
+  EXPECT_EQ(count(), 3);
+
+  // A rolled-back one restores the pre-Begin state.
+  ASSERT_TRUE(session->Begin(TxnMode::kWrite).ok());
+  ASSERT_TRUE(session->Execute("CREATE (:A), (:A)").ok());
+  ASSERT_TRUE(session->Execute("MATCH (n:A) SET n.touched = true").ok());
+  ASSERT_TRUE(session->Rollback().ok());
+  EXPECT_EQ(count(), 3);
+  EXPECT_EQ(db.Snapshot()->NumNodes(), 3u);
+  auto touched = db.Execute("MATCH (n:A) WHERE n.touched RETURN n");
+  ASSERT_TRUE(touched.ok());
+  EXPECT_EQ(touched->table.NumRows(), 0u);
+}
+
+TEST(Session, SnapshotIsFrozenAndStableDuringWrite) {
+  auto opened = Database::OpenInMemory();
+  ASSERT_TRUE(opened.ok());
+  Database db = std::move(*opened);
+  ASSERT_TRUE(db.Execute("CREATE (:A)").ok());
+
+  std::shared_ptr<const PropertyGraph> before = db.Snapshot();
+  ASSERT_TRUE(before->frozen());
+  EXPECT_EQ(before->NumNodes(), 1u);
+  // The runtime guard behind the const view: mutators on a frozen
+  // snapshot fail rather than write through.
+  auto writable = std::const_pointer_cast<PropertyGraph>(before);
+  EXPECT_FALSE(writable->DeleteNode(NodeId{0}).ok());
+  EXPECT_EQ(before->NumNodes(), 1u);
+
+  // While a write transaction is open, Snapshot() keeps serving the
+  // pre-Begin state.
+  auto writer = db.CreateSession();
+  ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
+  ASSERT_TRUE(writer->Execute("CREATE (:B), (:B)").ok());
+  EXPECT_EQ(db.Snapshot()->NumNodes(), 1u);
+  EXPECT_EQ(db.Snapshot(), before);
+  ASSERT_TRUE(writer->Commit().ok());
+
+  // The commit publishes a new snapshot; the old one never moves.
+  EXPECT_EQ(db.Snapshot()->NumNodes(), 3u);
+  EXPECT_EQ(before->NumNodes(), 1u);
+}
+
+TEST(Session, FrozenStartingGraphIsServedWithoutCopy) {
+  // The concurrent differential oracle binds a database to a snapshot
+  // of another: reads must run on that very object (copying it would
+  // mutate a graph other threads share), and writes must be refused.
+  auto live = std::make_shared<PropertyGraph>();
+  live->CreateNode({"A"});
+  GraphPtr frozen = live->Snapshot();
+  auto opened = Database::OpenInMemory({}, frozen);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Database db = std::move(*opened);
+
+  EXPECT_EQ(db.Snapshot().get(), frozen.get());
+  auto reader = db.CreateSession();
   ASSERT_TRUE(reader->Begin(TxnMode::kRead).ok());
-  EXPECT_EQ(CountNodes(reader.get()), 1);
-
-  // Rebind the engine's default graph mid-transaction.
-  auto replacement = std::make_shared<PropertyGraph>();
-  engine.set_default_graph(replacement);
-  ASSERT_TRUE(engine.Execute("CREATE (:New), (:New)").ok());
-
-  // The open transaction stays bound to the graph it began on.
-  auto r = reader->Execute("MATCH (n:Old) RETURN count(n) AS c");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->table.rows()[0][0].AsInt(), 1);
+  EXPECT_EQ(reader->graph(), frozen);
   EXPECT_EQ(CountNodes(reader.get()), 1);
   ASSERT_TRUE(reader->Commit().ok());
 
-  // A fresh transaction binds to the replacement.
-  ASSERT_TRUE(reader->Begin(TxnMode::kRead).ok());
-  EXPECT_EQ(CountNodes(reader.get()), 2);
-  ASSERT_TRUE(reader->Commit().ok());
+  auto write = db.Execute("CREATE (:B)");
+  EXPECT_FALSE(write.ok());
+  EXPECT_EQ(write.status().code(), StatusCode::kInvalidArgument);
+  auto writer = db.CreateSession();
+  EXPECT_FALSE(writer->Begin(TxnMode::kWrite).ok());
+  EXPECT_EQ(db.Snapshot().get(), frozen.get());
+  EXPECT_EQ(frozen->NumNodes(), 1u);
 }
 
 TEST(Session, RandSubstreamsAreIndependentAndReproducible) {
@@ -322,22 +387,6 @@ TEST(Session, ReadTransactionPinsCatalogBindings) {
   auto after = reader->Execute("FROM GRAPH g MATCH (n) RETURN count(n) AS c");
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->table.rows()[0][0].AsInt(), 2);
-}
-
-TEST(Session, WriteTransactionSurvivesDefaultGraphSwap) {
-  CypherEngine engine;
-  auto writer = engine.CreateSession();
-  ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
-  ASSERT_TRUE(writer->Execute("CREATE (:InTxn)").ok());
-
-  // Swapping the default graph mid-write leaves the transaction bound
-  // to the old head; its rollback must not clobber the new default.
-  auto replacement = std::make_shared<PropertyGraph>();
-  replacement->CreateNode();
-  engine.set_default_graph(replacement);
-  ASSERT_TRUE(writer->Rollback().ok());
-
-  EXPECT_EQ(CountNodes(&engine), 1);
 }
 
 }  // namespace

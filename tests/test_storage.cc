@@ -358,11 +358,11 @@ TEST(Durability, DoubleReopenIsIdempotent) {
   std::string first, second;
   {
     Database db = MustOpen(dir);
-    first = DumpToCypher(db.graph());
+    first = DumpToCypher(*db.Snapshot());
   }
   {
     Database db = MustOpen(dir);
-    second = DumpToCypher(db.graph());
+    second = DumpToCypher(*db.Snapshot());
   }
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
@@ -487,32 +487,24 @@ TEST(Durability, TornWalHeaderIsRewrittenDurably) {
 
 TEST(Durability, MoveAssignFlushesTheReplacedDatabase) {
   std::string dir = FreshDir("db_move_assign");
+  std::string other_dir = FreshDir("db_move_assign_other");
   {
     Database db = MustOpen(dir);
-    // A setup-API write only becomes durable at the next transaction
-    // boundary — here the Close() that move-assignment runs on the
-    // database being replaced (a defaulted move would drop it).
-    db.graph().CreateNode({"Moved"}, {});
-    Database other = MustOpen(FreshDir("db_move_assign_other"));
+    ASSERT_TRUE(db.Execute("CREATE (:Moved)").ok());
+    // Move-assignment closes the database being replaced; the handle
+    // then serves (and writes to) the other one.
+    Database other = MustOpen(other_dir);
     db = std::move(other);
+    ASSERT_TRUE(db.Execute("CREATE (:Other), (:Other)").ok());
+    EXPECT_EQ(CountNodes(db), 2);
   }
   Database db = MustOpen(dir);
   EXPECT_EQ(CountNodes(db), 1);
-  EXPECT_TRUE(db.Execute("MATCH (m:Moved) RETURN m").ok());
-}
-
-TEST(Durability, SetDefaultGraphRejectedOnDurableDatabase) {
-  std::string dir = FreshDir("db_setdefault");
-  Database db = MustOpen(dir);
-  EXPECT_FALSE(db.engine()
-                   .set_default_graph(std::make_shared<PropertyGraph>())
-                   .ok());
-  // In-memory databases keep the setup API.
-  auto mem = Database::OpenInMemory();
-  ASSERT_TRUE(mem.ok());
-  EXPECT_TRUE(mem->engine()
-                  .set_default_graph(std::make_shared<PropertyGraph>())
-                  .ok());
+  auto moved = db.Execute("MATCH (m:Moved) RETURN count(m) AS c");
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved->table.rows()[0][0].AsInt(), 1);
+  Database other = MustOpen(other_dir);
+  EXPECT_EQ(CountNodes(other), 2);
 }
 
 TEST(Durability, CloseFlushesAndRejectsLaterWrites) {
@@ -527,20 +519,6 @@ TEST(Durability, CloseFlushesAndRejectsLaterWrites) {
 
   Database reopened = MustOpen(dir);
   EXPECT_EQ(CountNodes(reopened), 1);
-}
-
-TEST(Durability, SetupApiWritesFlushAtTransactionBoundary) {
-  std::string dir = FreshDir("db_setupapi");
-  {
-    Database db = MustOpen(dir);
-    // graph() is the fixture-loading backdoor: mutations bypass the
-    // session layer but must still be logged at the next boundary.
-    db.graph().CreateNode({"Seeded"}, {{"k", Value::Int(1)}});
-    ASSERT_TRUE(db.Execute("CREATE (:Committed)").ok());
-  }
-  Database db = MustOpen(dir);
-  EXPECT_EQ(CountNodes(db), 2);
-  EXPECT_TRUE(db.Execute("MATCH (s:Seeded) RETURN s").ok());
 }
 
 TEST(Durability, InMemoryDatabaseWritesNoFiles) {

@@ -17,7 +17,7 @@ TEST(Create, BindsNewVariablesPerRow) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->stats.nodes_created, 3);
   EXPECT_EQ(r->table.NumRows(), 3u);
-  EXPECT_EQ(engine.graph().NumNodes(), 3u);
+  EXPECT_EQ(engine.Snapshot()->NumNodes(), 3u);
 }
 
 TEST(Create, SharedVariableAcrossTuplePaths) {
@@ -39,7 +39,7 @@ TEST(Create, AttachToBoundNode) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->stats.nodes_created, 1);
   EXPECT_EQ(r->stats.rels_created, 1);
-  EXPECT_EQ(engine.graph().NumNodes(), 2u);
+  EXPECT_EQ(engine.Snapshot()->NumNodes(), 2u);
 }
 
 TEST(Create, LeftArrowDirection) {
@@ -153,7 +153,7 @@ TEST(Delete, RelationshipThenNode) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->stats.nodes_deleted, 2);
   EXPECT_EQ(r->stats.rels_deleted, 1);
-  EXPECT_EQ(engine.graph().NumNodes(), 0u);
+  EXPECT_EQ(engine.Snapshot()->NumNodes(), 0u);
 }
 
 TEST(Delete, PathDeletesItsParts) {
@@ -162,8 +162,8 @@ TEST(Delete, PathDeletesItsParts) {
   auto r = engine.Execute(
       "MATCH p = (:A)-[:T]->(:B)-[:T]->(:C) DETACH DELETE p");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(engine.graph().NumNodes(), 0u);
-  EXPECT_EQ(engine.graph().NumRels(), 0u);
+  EXPECT_EQ(engine.Snapshot()->NumNodes(), 0u);
+  EXPECT_EQ(engine.Snapshot()->NumRels(), 0u);
 }
 
 TEST(Delete, DoubleDeleteIsTolerated) {
@@ -185,7 +185,7 @@ TEST(Delete, DetachSelfLoopCountsOnce) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->stats.nodes_deleted, 1);
   EXPECT_EQ(r->stats.rels_deleted, 1);
-  EXPECT_EQ(engine.graph().NumRels(), 0u);
+  EXPECT_EQ(engine.Snapshot()->NumRels(), 0u);
 }
 
 TEST(Delete, DetachBothEndpointsCountsRelOnce) {
@@ -213,8 +213,8 @@ TEST(Delete, DetachMixedFanCountsDistinctRels) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->stats.nodes_deleted, 1);
   EXPECT_EQ(r->stats.rels_deleted, 3);
-  EXPECT_EQ(engine.graph().NumRels(), 0u);
-  EXPECT_EQ(engine.graph().NumNodes(), 2u);
+  EXPECT_EQ(engine.Snapshot()->NumRels(), 0u);
+  EXPECT_EQ(engine.Snapshot()->NumNodes(), 2u);
 }
 
 TEST(Merge, PerRowSemantics) {
