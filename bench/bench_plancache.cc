@@ -83,7 +83,7 @@ int64_t MustBeNonEmpty(int64_t count) {
 EngineOptions Opts(PlannerOptions::Mode planner, bool cache) {
   EngineOptions opts;
   opts.planner = planner;
-  opts.use_plan_cache = cache;
+  opts.plan_cache_capacity = cache ? PlanCache::kDefaultCapacity : 0;
   return opts;
 }
 

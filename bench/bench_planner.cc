@@ -54,7 +54,7 @@ void RunMode(benchmark::State& state, ExecutionMode mode,
   opts.direction_policy = direction;
   // This benchmark measures the planner itself: plan reuse would collapse
   // all planner modes onto the warm path (see bench_plancache for that).
-  opts.use_plan_cache = false;
+  opts.plan_cache_capacity = 0;
   Database db = bench::MakeDatabase(g, opts);
   for (auto _ : state) {
     Table t = bench::MustRun(db, kQuery);

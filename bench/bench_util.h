@@ -70,7 +70,7 @@ inline void ConsumeGqliteBenchFlags(int* argc, char** argv) {
 /// null) with the shared bench flags applied. Aborts on failure:
 /// benchmarks must not silently measure a misconfigured engine.
 inline Database OpenWithFlags(EngineOptions opts, GraphPtr initial) {
-  if (g_no_plan_cache) opts.use_plan_cache = false;
+  if (g_no_plan_cache) opts.plan_cache_capacity = 0;
   if (g_no_batch) opts.batch_size = 1;
   if (g_num_threads > 0) opts.num_threads = g_num_threads;
   Result<Database> db = Database::OpenInMemory(opts, std::move(initial));

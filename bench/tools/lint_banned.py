@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific banned-API lint, run by the `lint` CMake target and CI.
 
-Three rule families, each encoding a project invariant that neither the
+Five rule families, each encoding a project invariant that neither the
 compiler nor clang-tidy enforces:
 
   raw-sync       Raw std::mutex / std::condition_variable / std::atomic /
@@ -39,14 +39,6 @@ compiler nor clang-tidy enforces:
                  behind the StorageEngine interface, so crash-safety
                  invariants (append order, atomic replace, CRC framing)
                  are auditable in one directory.
-
-  engine-construction
-                 Direct CypherEngine construction outside src/core/ and
-                 tests/. The public entry point is Database::Open /
-                 Database::OpenInMemory, which decides durability before
-                 any statement runs; a bare engine silently skips the
-                 storage layer. Tests may still construct engines to
-                 exercise internals.
 
 Waivers: append `// lint: allow(<rule>) <reason>` on the offending line,
 or as a full-line comment on the line directly above (for lines that
@@ -120,15 +112,6 @@ RULES = [
                       and not path.startswith("src/storage/")),
         "raw file IO outside src/storage/; durability goes through the "
         "StorageEngine interface (WAL + checkpoint)",
-    ),
-    (
-        "engine-construction",
-        re.compile(r"\bCypherEngine\s+\w+\s*[;({=]|new\s+CypherEngine\b"
-                   r"|make_unique<\s*CypherEngine\b"),
-        lambda path: (path.startswith(("src/", "bench/", "examples/"))
-                      and not path.startswith("src/core/")),
-        "direct CypherEngine construction outside src/core/ and tests/; "
-        "open a Database (Database::Open / Database::OpenInMemory)",
     ),
 ]
 

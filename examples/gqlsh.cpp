@@ -40,8 +40,8 @@ void PrintStats(Database& db) {
     }
   }
   const PlanCacheStats& pc = engine.plan_cache_stats();
-  std::cout << "plan cache: " << engine.plan_cache_size() << "/"
-            << engine.plan_cache_capacity() << " entries, " << pc.hits
+  std::cout << "plan cache: " << engine.plan_cache().size() << "/"
+            << engine.plan_cache().capacity() << " entries, " << pc.hits
             << " hits, " << pc.misses << " misses, " << pc.evictions
             << " evictions, " << pc.invalidations << " invalidations\n";
   const BatchStats& ex = engine.exec_stats();
@@ -152,16 +152,30 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line.rfind(":mode", 0) == 0) {
+      // Options are fixed when a database opens: reopen it in the new
+      // mode, on the same directory or from the committed graph.
       EngineOptions opts = db.engine().options();
-      if (line.find("interp") != std::string::npos) {
-        opts.mode = ExecutionMode::kInterpreter;
-        std::cout << "executing on the reference interpreter\n";
-      } else {
-        opts.mode = ExecutionMode::kVolcano;
-        std::cout << "executing on the Volcano runtime\n";
+      bool interp = line.find("interp") != std::string::npos;
+      opts.mode =
+          interp ? ExecutionMode::kInterpreter : ExecutionMode::kVolcano;
+      if (!db_path.empty()) {
+        Status closed = db.Close();
+        if (!closed.ok()) {
+          std::cout << closed.ToString() << "\n";
+          continue;
+        }
       }
-      Status st = db.engine().set_options(opts);
-      if (!st.ok()) std::cout << st.ToString() << "\n";
+      auto reopened =
+          db_path.empty()
+              ? Database::OpenInMemory(opts, db.Snapshot()->Clone())
+              : Database::Open(db_path, opts);
+      if (!reopened.ok()) {
+        std::cout << reopened.status().ToString() << "\n";
+        continue;
+      }
+      db = std::move(*reopened);
+      std::cout << (interp ? "executing on the reference interpreter\n"
+                           : "executing on the Volcano runtime\n");
       continue;
     }
     if (line.rfind(":explain ", 0) == 0) {

@@ -32,12 +32,12 @@ namespace gqlite {
 /// (Execute, or a Session write transaction). Snapshot() is the
 /// read-only view of its committed state.
 ///
-/// The engine underneath (CypherEngine) is an internal layer: sessions,
-/// transactions, plan caching and parallel execution all behave exactly
-/// as documented there, and engine() exposes it for introspection
-/// (stats, plan cache, catalog). Constructing a CypherEngine directly
-/// is reserved to src/core/ and tests (lint-enforced) — everything
-/// else opens a Database.
+/// The engine underneath (CypherEngine) is the private implementation:
+/// sessions, transactions, plan caching and parallel execution all
+/// behave exactly as documented there. Only a Database builds one, with
+/// its options (environment overrides applied) and storage fixed for
+/// its lifetime; engine() exposes it for introspection (options,
+/// catalog, plan cache, execution counters).
 ///
 /// A Database is movable, not copyable. Destruction closes it; call
 /// Close() explicitly to observe its status. The Database must outlive
@@ -45,7 +45,9 @@ namespace gqlite {
 class Database {
  public:
   /// Opens (creating on first use) a durable database rooted at the
-  /// directory `path` and recovers its committed state.
+  /// directory `path` and recovers its committed state. A garbage
+  /// GQLITE_BATCH_SIZE / GQLITE_THREADS / GQLITE_PLAN_MODE override
+  /// fails the open before the directory is touched.
   static Result<Database> Open(const std::string& path,
                                EngineOptions options = {});
   /// Opens a database with no persistence at all. `initial` is the
@@ -103,12 +105,12 @@ class Database {
   /// Named graphs are NOT persisted — only the default graph is WAL-
   /// backed; re-register them after reopening.
   void RegisterGraph(const std::string& name, GraphPtr g) {
-    engine_->RegisterGraph(name, std::move(g));
+    engine_->catalog().RegisterGraph(name, std::move(g));
   }
   /// Registers a graph under an external URL (FROM GRAPH ... AT "url").
   /// Like named graphs, URL bindings are not persisted.
   void RegisterUrl(const std::string& url, GraphPtr g) {
-    engine_->RegisterUrl(url, std::move(g));
+    engine_->catalog().RegisterUrl(url, std::move(g));
   }
 
   /// Serializes the committed state as a new recovery baseline and
@@ -119,8 +121,8 @@ class Database {
   /// handle stays valid for reads of the in-memory state.
   Status Close();
 
-  /// The engine underneath — introspection (stats, plan cache, catalog,
-  /// options) and named-graph registration.
+  /// The engine underneath — introspection (options, catalog, plan
+  /// cache, execution counters).
   CypherEngine& engine() { return *engine_; }
   /// The committed state of the default graph as a frozen snapshot:
   /// later commits never change it. For inspection (counts, printing
@@ -130,8 +132,12 @@ class Database {
   }
 
  private:
-  explicit Database(EngineOptions options)
-      : engine_(std::make_unique<CypherEngine>(options)) {}
+  explicit Database(std::unique_ptr<CypherEngine> engine)
+      : engine_(std::move(engine)) {}
+  /// Recovers the starting graph from `storage` and builds the engine
+  /// over it; `options` carry their environment overrides already.
+  static Result<Database> Bind(const EngineOptions& options,
+                               std::unique_ptr<StorageEngine> storage);
 
   std::unique_ptr<CypherEngine> engine_;
 };

@@ -79,41 +79,29 @@ Status CypherEngine::ApplyEnvOverrides(EngineOptions* options) {
   return Status::OK();
 }
 
-CypherEngine::CypherEngine(EngineOptions options)
+CypherEngine::CypherEngine(const EngineOptions& options,
+                           std::unique_ptr<StorageEngine> storage,
+                           std::shared_ptr<PropertyGraph> recovered)
     : options_(options),
       plan_cache_(options.plan_cache_capacity),
+      storage_(std::move(storage)),
       rand_state_(options.rand_seed) {
-  options_status_ = ApplyEnvOverrides(&options_);
-  graph_ = catalog_.default_graph();
+  if (storage_->durable()) {
+    recorder_ = std::make_unique<WalRecorder>(recovered.get());
+    recovered->set_write_observer(recorder_.get());
+  }
+  catalog_.RegisterGraph(GraphCatalog::kDefaultGraphName, recovered);
+  graph_ = std::move(recovered);
 }
 
 CypherEngine::~CypherEngine() {
   // The head is shared and may outlive the engine (e.g. through a
   // captured catalog snapshot); never leave it pointing at the dying
   // recorder.
-  if (recorder_ != nullptr && graph_ != nullptr) {
-    graph_->set_write_observer(nullptr);
-  }
-}
-
-Status CypherEngine::BindStorage(std::unique_ptr<StorageEngine> storage) {
-  GQL_ASSIGN_OR_RETURN(std::shared_ptr<PropertyGraph> recovered,
-                       storage->Recover());
-  storage_ = std::move(storage);
-  if (storage_->durable()) {
-    recorder_ = std::make_unique<WalRecorder>(recovered.get());
-    recovered->set_write_observer(recorder_.get());
-  }
-  catalog_.RegisterGraph(GraphCatalog::kDefaultGraphName, recovered);
-  MutexLock lock(&txn_mu_);
-  graph_ = std::move(recovered);
-  committed_snapshot_ = nullptr;
-  committed_version_ = 0;
-  return Status::OK();
+  if (recorder_ != nullptr) graph_->set_write_observer(nullptr);
 }
 
 Status CypherEngine::Checkpoint() {
-  if (storage_ == nullptr) return Status::OK();
   // Hold the writer slot across the whole checkpoint: an active write
   // transaction finishes first and new ones wait — so the pinned
   // committed snapshot matches "every WAL batch appended so far",
@@ -131,7 +119,6 @@ Status CypherEngine::Checkpoint() {
 }
 
 Status CypherEngine::Close() {
-  if (storage_ == nullptr) return Status::OK();
   Status flushed = Status::OK();
   if (recorder_ != nullptr) {
     // Taking the writer slot waits out in-flight writers; detach the
@@ -169,32 +156,44 @@ std::unique_ptr<Session> CypherEngine::CreateSession() {
 
 WorkerPool* CypherEngine::EnsureWorkerPool() {
   MutexLock lock(&pool_mu_);
-  size_t extra = options_.num_threads - 1;
-  if (pool_ == nullptr || pool_->size() != extra) {
-    pool_ = std::make_unique<WorkerPool>(extra);
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<WorkerPool>(options_.num_threads - 1);
   }
   return pool_.get();
 }
 
-void CypherEngine::FoldRunStats(const BatchStats& run,
-                                const ParallelRunStats& prun) {
+Result<Table> CypherEngine::RunPlan(Plan* plan, WorkerPool* pool,
+                                    ParallelRunStats* prun) {
+  // Per-execution counters accumulate into locals and fold into the
+  // guarded cumulative stats once at the end, so a monitoring thread can
+  // read exec_stats()/parallel_stats() while the query runs.
+  BatchStats run;
+  Table table;
+  bool parallel = pool != nullptr && plan->parallel.safe;
+  if (parallel) {
+    // Sessions take turns on the shared pool.
+    MutexLock plock(&pool_exec_mu_);
+    GQL_ASSIGN_OR_RETURN(table, ExecutePlanParallel(plan, pool,
+                                                    options_.batch_size,
+                                                    &run, prun));
+  } else {
+    GQL_ASSIGN_OR_RETURN(table, ExecutePlan(plan, options_.batch_size, &run));
+  }
   MutexLock lock(&stats_mu_);
   exec_stats_.rows += run.rows;
   exec_stats_.batches += run.batches;
-  if (prun.workers > 0) {
+  if (prun->workers > 0) {
     ++parallel_stats_.queries;
-    parallel_stats_.morsels += prun.morsels;
-    parallel_stats_.merge_tasks += prun.merge_tasks;
-    if (prun.sort_merge) ++parallel_stats_.sort_merges;
-    if (prun.partitioned_agg) ++parallel_stats_.agg_merges;
-    if (prun.partitioned_distinct) ++parallel_stats_.distinct_merges;
+    parallel_stats_.morsels += prun->morsels;
+    parallel_stats_.merge_tasks += prun->merge_tasks;
+    if (prun->sort_merge) ++parallel_stats_.sort_merges;
+    if (prun->partitioned_agg) ++parallel_stats_.agg_merges;
+    if (prun->partitioned_distinct) ++parallel_stats_.distinct_merges;
   }
-}
-
-void CypherEngine::RecordSerialFallback(const std::string& reason) {
-  if (reason.empty()) return;
-  MutexLock lock(&stats_mu_);
-  ++parallel_stats_.serial_reasons[reason];
+  if (pool != nullptr && !parallel && !plan->parallel.reason.empty()) {
+    ++parallel_stats_.serial_reasons[plan->parallel.reason];
+  }
+  return table;
 }
 
 MatchOptions CypherEngine::MakeMatchOptions() const {
@@ -213,30 +212,6 @@ PlannerOptions CypherEngine::MakePlannerOptions() const {
   popts.num_threads = options_.num_threads;
   popts.match = MakeMatchOptions();
   return popts;
-}
-
-std::string CypherEngine::OptionsFingerprint() const {
-  // Every option that changes the compiled plan. The unit separator keeps
-  // the suffix from colliding with query text.
-  std::string f = "\x1f";
-  f += 'p';
-  f += std::to_string(static_cast<int>(options_.planner));
-  f += 'm';
-  f += std::to_string(static_cast<int>(options_.morphism));
-  f += 'v';
-  f += std::to_string(options_.max_var_length);
-  f += 'x';
-  f += std::to_string(static_cast<int>(options_.expand_strategy));
-  f += 'd';
-  f += std::to_string(static_cast<int>(options_.direction_policy));
-  // Morsel size is baked into the plan's ExecContext (pipeline-breaker
-  // drains), so it is part of the key.
-  f += 'b';
-  f += std::to_string(options_.batch_size);
-  // Worker count is baked in as per-worker pipeline instances.
-  f += 't';
-  f += std::to_string(options_.num_threads);
-  return f;
 }
 
 // ---- MVCC transaction core -------------------------------------------------
@@ -272,7 +247,7 @@ Result<GraphPtr> CypherEngine::AcquireWriter(bool wait) {
   // Durable storage whose recorder is gone has been Close()d: writes
   // could no longer be logged, so refuse them instead of silently
   // diverging memory from disk.
-  if (storage_ != nullptr && storage_->durable() && recorder_ == nullptr) {
+  if (storage_->durable() && recorder_ == nullptr) {
     return Status::InvalidArgument("database is closed for writes");
   }
   MutexLock lock(&txn_mu_);
@@ -344,7 +319,6 @@ void CypherEngine::RollbackWriter() {
 // ---- Statement execution ---------------------------------------------------
 
 Result<PreparedQuery> CypherEngine::Prepare(std::string_view query) {
-  GQL_RETURN_IF_ERROR(options_status_);
   auto state = std::make_shared<PreparedStatement>();
   GQL_ASSIGN_OR_RETURN(state->query, ParseQuery(query));
   // Analysis runs on the original tree so diagnostics mention the
@@ -361,11 +335,10 @@ Result<PreparedQuery> CypherEngine::Prepare(std::string_view query) {
   // and RETURN GRAPH queries run on the interpreter (where keeping the
   // user's literals also keeps diagnostics in their terms), and with the
   // cache off the rewrite+unparse would be pure overhead on every
-  // Execute(text) call. A statement prepared while the cache is off
-  // stays uncached (text_key empty) even if the cache is enabled later.
+  // Execute(text) call.
   bool cacheable = !state->info.updating && !state->has_return_graph &&
                    options_.mode == ExecutionMode::kVolcano &&
-                   options_.use_plan_cache && plan_cache_.capacity() > 0;
+                   options_.plan_cache_capacity > 0;
   if (cacheable) {
     state->constants = AutoParameterize(&state->query).extracted;
     state->text_key = NormalizedQueryKey(state->query);
@@ -387,7 +360,6 @@ Result<QueryResult> CypherEngine::Execute(const PreparedQuery& prepared,
 Result<QueryResult> CypherEngine::ExecuteWith(const PreparedQuery& prepared,
                                               const ValueMap& params,
                                               uint64_t* session_rand) {
-  GQL_RETURN_IF_ERROR(options_status_);
   if (!prepared.valid()) {
     return Status::InvalidArgument("executing an empty PreparedQuery");
   }
@@ -445,73 +417,49 @@ Result<QueryResult> CypherEngine::RunVolcano(
     const GraphPtr& graph, uint64_t* session_rand,
     std::shared_ptr<const CatalogSnapshot> pinned_catalog) {
   CatalogRef cref(&catalog_, pinned_catalog);
-  QueryResult result;
   {
     MutexLock lock(&stats_mu_);
     ++exec_queries_;  // counts attempts, like the serial-era counter
   }
-  WorkerPool* pool = options_.num_threads > 1 ? EnsureWorkerPool() : nullptr;
-  // Per-execution counters accumulate into locals and fold into the
-  // guarded cumulative stats once at the end, so a monitoring thread can
-  // read exec_stats()/parallel_stats() while the query runs.
-  BatchStats run_stats;
-  ParallelRunStats prun;
-  std::string serial_reason;
   RandScope rand(this, session_rand);
-  if (!options_.use_plan_cache || plan_cache_.capacity() == 0 ||
-      prepared->text_key.empty()) {
-    if (pool != nullptr) {
-      // RunPlanned may take the parallel runtime internally; sessions
-      // take turns on the shared pool.
-      MutexLock plock(&pool_exec_mu_);
-      GQL_ASSIGN_OR_RETURN(
-          result.table,
-          RunPlanned(cref, graph, &params, MakePlannerOptions(),
-                     rand.get(), prepared->query, &run_stats, pool, &prun,
-                     &serial_reason));
-    } else {
-      GQL_ASSIGN_OR_RETURN(
-          result.table,
-          RunPlanned(cref, graph, &params, MakePlannerOptions(),
-                     rand.get(), prepared->query, &run_stats, nullptr, &prun));
-    }
-    FoldRunStats(run_stats, prun);
-    RecordSerialFallback(serial_reason);
-    return result;
-  }
-  // Transactions with a pinned catalog validate (and insert) against the
-  // snapshot's version: a plan cached under a newer binding is never
-  // served to an older-pinned reader, and vice versa.
-  uint64_t cat_version = cref.version();
-  // A catalog-version move strands every older entry (they can never
-  // validate again); sweep them now so the graphs they pin are released
-  // promptly rather than on LRU eviction. Skipped under a pinned
-  // catalog: the pinned version may legitimately trail the live one, and
-  // sweeping by it would evict entries current transactions still
-  // validate.
-  bool sweep = false;
-  if (!cref.pinned()) {
-    MutexLock lock(&stats_mu_);
-    if (cat_version != swept_catalog_version_) {
-      swept_catalog_version_ = cat_version;
-      sweep = true;
-    }
-  }
-  if (sweep) {
-    plan_cache_.SweepStale(cat_version, graph->stats_version(),
-                           graph->data_version());
-  }
-  std::string key = prepared->text_key + OptionsFingerprint();
+  // A statement without a cache key (or a database without a cache)
+  // never consults the cache.
+  const std::string& key = prepared->text_key;
+  bool cached = options_.plan_cache_capacity > 0 && !key.empty();
   bool busy = false;
-  PlanCache::EntryPtr entry =
-      plan_cache_.Acquire(key, cat_version, graph->stats_version(),
-                          graph->data_version(), &busy);
+  PlanCache::EntryPtr entry;
+  if (cached) {
+    // Transactions with a pinned catalog validate (and insert) against
+    // the snapshot's version: a plan cached under a newer binding is
+    // never served to an older-pinned reader, and vice versa.
+    uint64_t cat_version = cref.version();
+    // A catalog-version move strands every older entry (they can never
+    // validate again); sweep them now so the graphs they pin are
+    // released promptly rather than on LRU eviction. Skipped under a
+    // pinned catalog: the pinned version may legitimately trail the live
+    // one, and sweeping by it would evict entries current transactions
+    // still validate.
+    bool sweep = false;
+    if (!cref.pinned()) {
+      MutexLock lock(&stats_mu_);
+      if (cat_version != swept_catalog_version_) {
+        swept_catalog_version_ = cat_version;
+        sweep = true;
+      }
+    }
+    if (sweep) {
+      plan_cache_.SweepStale(cat_version, graph->stats_version(),
+                             graph->data_version());
+    }
+    entry = plan_cache_.Acquire(key, cat_version, graph->stats_version(),
+                                graph->data_version(), &busy);
+  }
   EntryReleaser releaser{&plan_cache_, entry};
   Plan local_plan;
   if (entry == nullptr) {
     Planner planner(cref, graph, &params, MakePlannerOptions(), rand.get());
     GQL_ASSIGN_OR_RETURN(local_plan, planner.PlanQuery(prepared->query));
-    if (!busy) {
+    if (cached && !busy) {
       // Snapshot generations AFTER planning: FROM GRAPH ... AT "url" may
       // register a graph name while planning, bumping the catalog
       // version. Contexts planned against this execution's default-graph
@@ -526,16 +474,14 @@ Result<QueryResult> CypherEngine::RunVolcano(
                           ctx->graph_owner->data_version()});
         default_ctx.push_back(ctx->graph_owner == graph);
       }
-      cat_version = cref.version();
-      entry = plan_cache_.InsertAcquire(std::move(key), prepared,
-                                        std::move(local_plan), cat_version,
-                                        std::move(guards),
+      entry = plan_cache_.InsertAcquire(key, prepared, std::move(local_plan),
+                                        cref.version(), std::move(guards),
                                         std::move(default_ctx));
       releaser.entry = entry;
     }
-    // else: the cached entry is mid-execution in another session; run
-    // the fresh plan uncached (its contexts are already bound to this
-    // execution's graph, params and PRNG).
+    // else: no cache, or the cached entry is mid-execution in another
+    // session; run the fresh plan uncached (its contexts are already
+    // bound to this execution's graph, params and PRNG).
   }
   Plan* plan = &local_plan;
   if (entry != nullptr) {
@@ -554,18 +500,10 @@ Result<QueryResult> CypherEngine::RunVolcano(
       }
     }
   }
-  if (pool != nullptr && plan->parallel.safe) {
-    MutexLock plock(&pool_exec_mu_);
-    GQL_ASSIGN_OR_RETURN(result.table,
-                         ExecutePlanParallel(plan, pool, options_.batch_size,
-                                             &run_stats, &prun));
-  } else {
-    if (pool != nullptr) serial_reason = plan->parallel.reason;
-    GQL_ASSIGN_OR_RETURN(
-        result.table, ExecutePlan(plan, options_.batch_size, &run_stats));
-  }
-  FoldRunStats(run_stats, prun);
-  RecordSerialFallback(serial_reason);
+  WorkerPool* pool = options_.num_threads > 1 ? EnsureWorkerPool() : nullptr;
+  ParallelRunStats prun;
+  QueryResult result;
+  GQL_ASSIGN_OR_RETURN(result.table, RunPlan(plan, pool, &prun));
   return result;
 }
 
@@ -595,7 +533,6 @@ Result<QueryResult> CypherEngine::RunInterpreter(
 
 Result<std::string> CypherEngine::Profile(std::string_view query,
                                           const ValueMap& params) {
-  GQL_RETURN_IF_ERROR(options_status_);
   GQL_ASSIGN_OR_RETURN(ast::Query q, ParseQuery(query));
   GQL_ASSIGN_OR_RETURN(QueryInfo info, Analyze(q));
   if (info.updating) {
@@ -611,18 +548,11 @@ Result<std::string> CypherEngine::Profile(std::string_view query,
     MutexLock lock(&stats_mu_);
     ++exec_queries_;
   }
-  Table t;
-  std::string head;
-  BatchStats run_stats;
+  WorkerPool* pool = options_.num_threads > 1 ? EnsureWorkerPool() : nullptr;
   ParallelRunStats prun;
-  if (options_.num_threads > 1 && plan.parallel.safe) {
-    WorkerPool* pool = EnsureWorkerPool();
-    {
-      MutexLock plock(&pool_exec_mu_);
-      GQL_ASSIGN_OR_RETURN(t, ExecutePlanParallel(&plan, pool,
-                                                  options_.batch_size,
-                                                  &run_stats, &prun));
-    }
+  GQL_ASSIGN_OR_RETURN(Table t, RunPlan(&plan, pool, &prun));
+  std::string head;
+  if (pool != nullptr && plan.parallel.safe) {
     // Fold every worker instance's counters into the printed tree.
     for (const OperatorPtr& instance : plan.extra_roots) {
       plan.root->AbsorbCounters(*instance);
@@ -633,15 +563,9 @@ Result<std::string> CypherEngine::Profile(std::string_view query,
            plan.parallel.merge_shape +
            " (the merge-point projection runs in the merge stage; its "
            "tree counters stay 0)\n";
-  } else {
-    GQL_ASSIGN_OR_RETURN(
-        t, ExecutePlan(&plan, options_.batch_size, &run_stats));
-    if (options_.num_threads > 1) {
-      head = "Parallel: serial (" + plan.parallel.reason + ")\n";
-      RecordSerialFallback(plan.parallel.reason);
-    }
+  } else if (pool != nullptr) {
+    head = "Parallel: serial (" + plan.parallel.reason + ")\n";
   }
-  FoldRunStats(run_stats, prun);
   std::string out = head + ProfilePlan(*plan.root);
   out += "result: " + std::to_string(t.NumRows()) + " rows\n";
   return out;
@@ -649,7 +573,6 @@ Result<std::string> CypherEngine::Profile(std::string_view query,
 
 Result<std::string> CypherEngine::Explain(std::string_view query,
                                           const ValueMap& params) {
-  GQL_RETURN_IF_ERROR(options_status_);
   GQL_ASSIGN_OR_RETURN(ast::Query q, ParseQuery(query));
   GQL_ASSIGN_OR_RETURN(QueryInfo info, Analyze(q));
   if (info.updating) {

@@ -44,13 +44,13 @@ struct EngineOptions {
   /// on the executing snapshot's statistics; the forced values pin one
   /// side (kHashJoin is the E14 join-expand baseline). The environment
   /// variable GQLITE_PLAN_MODE overrides this and the two fields around
-  /// it at engine construction — comma-separated tokens from {ltr,
+  /// it when the database opens — comma-separated tokens from {ltr,
   /// greedy, dp} (planner mode), {adjacency, hashjoin, cost-expand}
   /// (this field) and {force-right, force-left, cost-direction}
   /// (direction_policy), e.g.
   /// `GQLITE_PLAN_MODE=dp,hashjoin,force-left`. The differential
   /// harness uses it to run both sides of every cost-based choice; a
-  /// garbage token surfaces as an error from Prepare/Execute.
+  /// garbage token makes Database::Open/OpenInMemory fail.
   ExpandStrategy expand_strategy = ExpandStrategy::kCost;
   /// Chain anchor/traversal-direction choice: kCost searches by
   /// estimated cost, the forced values pin an end (see expand_strategy
@@ -58,35 +58,33 @@ struct EngineOptions {
   DirectionPolicy direction_policy = DirectionPolicy::kCost;
   /// Seed for rand() (deterministic runs).
   uint64_t rand_seed = 0x5EEDC0FFEEULL;
-  /// Reuse compiled plans across executions of read queries that differ
-  /// only in literal constants (auto-parameterization). Disable to get
-  /// plan-per-query behavior, e.g. when benchmarking the planner itself.
-  bool use_plan_cache = true;
-  /// Bound on cached plans (LRU beyond it). 0 disables caching.
+  /// Bound on cached plans (LRU beyond it). Read queries that differ
+  /// only in literal constants share one compiled plan
+  /// (auto-parameterization). 0 disables caching: plan-per-query
+  /// behavior, e.g. when benchmarking the planner itself.
   size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
   /// Morsel capacity of the batched Volcano runtime: how many rows each
   /// NextBatch call moves between operators. 1 restores tuple-at-a-time
   /// execution (the benches' `--no-batch` escape hatch). The environment
-  /// variable GQLITE_BATCH_SIZE overrides this at engine construction —
+  /// variable GQLITE_BATCH_SIZE overrides this when the database opens —
   /// CI runs the whole test suite at batch size 1 under ASan to shake
-  /// out batch-boundary bugs. A garbage override surfaces as an error
-  /// from Prepare/Execute rather than a silent clamp.
+  /// out batch-boundary bugs. A garbage override makes the open fail
+  /// rather than being silently clamped.
   size_t batch_size = RowBatch::kDefaultCapacity;
   /// Worker count of the morsel-driven parallel runtime (src/exec/):
   /// parallel-safe read plans partition their driving scan across this
   /// many workers (a fixed pool of num_threads - 1 threads plus the
   /// calling thread). 1 = today's serial path. The environment variable
-  /// GQLITE_THREADS overrides this at engine construction (the TSan CI
-  /// leg runs the whole suite at 4). Part of the plan-cache options
-  /// fingerprint: plans bake in per-worker pipeline instances.
+  /// GQLITE_THREADS overrides this when the database opens (the TSan CI
+  /// leg runs the whole suite at 4).
   size_t num_threads = 1;
 };
 
 /// A parsed, analyzed and auto-parameterized query handle returned by
-/// CypherEngine::Prepare. Cheap to copy (shared immutable state); execute
+/// Database::Prepare. Cheap to copy (shared immutable state); execute
 /// it repeatedly with different `$param` bindings via
-/// CypherEngine::Execute(prepared, params). Literals from the original
-/// text participate as synthetic parameters, so
+/// Database::Execute(prepared, params) or Session::Execute. Literals
+/// from the original text participate as synthetic parameters, so
 /// `Prepare("MATCH (n {id: 1}) RETURN n")` and the same query with
 /// `id: 42` share one cached plan.
 class PreparedQuery {
@@ -96,9 +94,9 @@ class PreparedQuery {
   bool valid() const { return state_ != nullptr; }
   /// True for queries containing CREATE/DELETE/SET/REMOVE/MERGE.
   bool updating() const { return state_ != nullptr && state_->info.updating; }
-  /// The normalized (auto-parameterized) query text — the structural part
-  /// of the plan-cache key. Empty for statements that bypass the cache
-  /// (updating queries, RETURN GRAPH, or prepared while caching was off).
+  /// The normalized (auto-parameterized) query text — the plan-cache
+  /// key. Empty for statements that bypass the cache (updating queries,
+  /// RETURN GRAPH, the interpreter mode, or a database without a cache).
   const std::string& normalized_text() const {
     static const std::string kEmpty;
     return state_ ? state_->text_key : kEmpty;
@@ -115,14 +113,15 @@ class PreparedQuery {
   PreparedPtr state_;
 };
 
-/// The public entry point of gqlite: parse → analyze → execute Cypher
+/// The query engine behind a Database: parse → analyze → execute Cypher
 /// over an in-memory property graph (plus the Cypher 10 named-graph
-/// catalog).
+/// catalog). Only Database builds one, with its final options and its
+/// storage; statements reach it through Database and Session:
 ///
 /// ```
-/// CypherEngine engine;
-/// engine.Execute("CREATE (:Person {name: 'Ada'})");
-/// auto result = engine.Execute("MATCH (p:Person) RETURN p.name");
+/// GQL_ASSIGN_OR_RETURN(Database db, Database::OpenInMemory());
+/// db.Execute("CREATE (:Person {name: 'Ada'})");
+/// auto result = db.Execute("MATCH (p:Person) RETURN p.name");
 /// std::cout << result->ToString();
 /// ```
 ///
@@ -132,14 +131,14 @@ class PreparedQuery {
 /// plan_cache_stats()). For repeated queries, skip re-parsing entirely:
 ///
 /// ```
-/// auto stmt = engine.Prepare("MATCH (p:Person {id: $id}) RETURN p.name");
-/// auto r1 = engine.Execute(*stmt, {{"id", Value::Int(1)}});
-/// auto r2 = engine.Execute(*stmt, {{"id", Value::Int(2)}});
+/// auto stmt = db.Prepare("MATCH (p:Person {id: $id}) RETURN p.name");
+/// auto r1 = db.Execute(*stmt, {{"id", Value::Int(1)}});
+/// auto r2 = db.Execute(*stmt, {{"id", Value::Int(2)}});
 /// ```
 ///
 /// ## Concurrency and transactions
 ///
-/// Engine entry points are thread-safe and snapshot-isolated on the
+/// Statement entry points are thread-safe and snapshot-isolated on the
 /// DEFAULT graph (MVCC, single writer):
 ///  * a read statement executes against an immutable copy-on-write
 ///    snapshot of the last committed state — it never observes a
@@ -148,109 +147,43 @@ class PreparedQuery {
 ///    (blocking until free), applies to the live graph, and commits on
 ///    completion, at which point later reads snapshot the new state.
 /// For multi-statement transactions and explicit snapshot control, open
-/// a Session (CreateSession): `Begin(kRead)` pins one snapshot across
-/// many statements; `Begin(kWrite)` takes the writer slot without
+/// a Session (Database::CreateSession): `Begin(kRead)` pins one snapshot
+/// across many statements; `Begin(kWrite)` takes the writer slot without
 /// blocking, surfacing Status::Conflict when a second writer exists.
 /// NOT covered by snapshots: named/URL graphs (FROM GRAPH targets are
 /// shared mutable state — in practice read-only after setup), and the
 /// engine-level rand() stream, which overlaps across concurrent
-/// engine-level statements (statements run through a Session draw from
+/// auto-commit statements (statements run through a Session draw from
 /// that session's own seeded substream instead).
 ///
 /// The default graph changes only through updating statements: its
 /// starting state is bound at open (Database::Open / OpenInMemory), and
 /// Snapshot() is the read-only view for inspection.
+///
+/// What stays public is introspection: options, catalog, plan cache and
+/// execution counters.
 class CypherEngine {
  public:
-  explicit CypherEngine(EngineOptions options = {});
   // Out-of-line: WorkerPool is incomplete here. Not movable — a
-  // Database owns its engine through a unique_ptr.
+  // Database owns its engine through a unique_ptr, and sessions hold
+  // its address.
   ~CypherEngine();
+  CypherEngine(const CypherEngine&) = delete;
+  CypherEngine& operator=(const CypherEngine&) = delete;
 
-  /// The committed state of the implicit Cypher 9 global graph: a frozen
-  /// snapshot (the one read statements execute against) that later
-  /// commits never change. For inspection — counting, printing results;
-  /// writes go through Execute or a Session write transaction.
-  std::shared_ptr<const PropertyGraph> Snapshot() EXCLUDES(txn_mu_) {
-    return ReadSnapshot();
-  }
-  /// Registers a named graph in the catalog (convenience form for setup
-  /// code — examples, benches, tests).
-  void RegisterGraph(const std::string& name, GraphPtr g) {
-    catalog_.RegisterGraph(name, std::move(g));
-  }
-  /// Registers a graph under an external URL (FROM GRAPH ... AT "url").
-  void RegisterUrl(const std::string& url, GraphPtr g) {
-    catalog_.RegisterUrl(url, std::move(g));
-  }
+  /// The options the database was opened with, environment overrides
+  /// applied. Fixed for the engine's lifetime.
+  const EngineOptions& options() const { return options_; }
+
   /// Named-graph catalog (Cypher 10, §6). Internally locked.
   GraphCatalog& catalog() { return catalog_; }
 
-  /// Opens a session: a single-threaded conversation with the engine
-  /// that can group statements into explicit transactions. Any number of
-  /// sessions may be open (each on its own thread); the engine must
-  /// outlive every session it created.
-  std::unique_ptr<Session> CreateSession();
-
-  /// Parses, validates and runs a query. `params` supplies `$name`
-  /// parameters (§2: built-in parameter support).
-  Result<QueryResult> Execute(std::string_view query,
-                              const ValueMap& params = {});
-
-  /// Parses, validates and auto-parameterizes a query without running
-  /// it. The handle is engine-independent and never stales: executing it
-  /// re-plans through the plan cache as needed.
-  Result<PreparedQuery> Prepare(std::string_view query);
-
-  /// Runs a prepared query. `params` supplies user `$name` parameters;
-  /// literals extracted at Prepare time are bound automatically (their
-  /// synthetic `$_pN` names never collide with user parameters).
-  Result<QueryResult> Execute(const PreparedQuery& prepared,
-                              const ValueMap& params = {});
-
-  /// Serializes the committed state as a new recovery baseline and
-  /// truncates the write-ahead log (no-op without durable storage).
-  /// Takes the writer slot for the duration: waits for an active write
-  /// transaction, and holds out new ones while the checkpoint file is
-  /// written.
-  Status Checkpoint();
-
-  /// Waits out an active write transaction, detaches the WAL recorder
-  /// and closes the bound storage engine; later write commits fail.
-  /// No-op without storage.
-  Status Close();
-
-  /// Renders the physical plan for a read query (Volcano operators).
-  Result<std::string> Explain(std::string_view query,
-                              const ValueMap& params = {});
-
-  /// Executes a read query on the Volcano runtime and renders the plan
-  /// with per-operator row counters (PROFILE).
-  Result<std::string> Profile(std::string_view query,
-                              const ValueMap& params = {});
-
-  const EngineOptions& options() const { return options_; }
-  /// Reconfigures the engine (a single-owner operation: quiesce in-flight
-  /// queries first). Returns the environment-override parse status — the
-  /// same error every later Prepare/Execute would surface, so callers
-  /// that check it fail fast at the reconfiguration site.
-  Status set_options(EngineOptions options) {
-    options_ = options;
-    options_status_ = ApplyEnvOverrides(&options_);
-    plan_cache_.set_capacity(options.plan_cache_capacity);
-    return options_status_;
-  }
-
-  /// The plan cache (tests/tools may Clear(), resize or reset stats —
-  /// its methods lock internally).
+  /// The plan cache (tests/tools may Clear() it or reset its stats — its
+  /// methods lock internally).
   PlanCache& plan_cache() { return plan_cache_; }
   /// Hit/miss/eviction/invalidation counters (snapshot by value: safe to
   /// call from a monitoring thread while queries execute).
   PlanCacheStats plan_cache_stats() const { return plan_cache_.stats(); }
-  /// Number of cached plans / configured bound (same contract as
-  /// plan_cache_stats()).
-  size_t plan_cache_size() const { return plan_cache_.size(); }
-  size_t plan_cache_capacity() const { return plan_cache_.capacity(); }
 
   /// Cumulative rows/batches the batched runtime's root drain produced
   /// across this engine's Volcano executions (gqlsh :stats). Snapshot by
@@ -289,41 +222,88 @@ class CypherEngine {
   }
 
  private:
-  friend class Session;
-  /// Database is the ONE caller allowed to bind a storage engine: every
-  /// other component receives an engine whose durability is already
-  /// decided.
+  /// Database builds the engine and forwards its statement API; Session
+  /// drives the transaction core.
   friend class Database;
+  friend class Session;
 
-  /// Installs the persistence layer: recovers the starting graph from
-  /// `storage` (checkpoint + WAL replay for the durable engine, the
-  /// caller's starting graph or a fresh one in memory), binds it as the
-  /// default graph, and — when the engine is durable — attaches a
-  /// WalRecorder so every committed primitive mutation is appended to
-  /// the log before the commit is acknowledged. Called once, before any
-  /// statement runs.
-  Status BindStorage(std::unique_ptr<StorageEngine> storage);
+  /// `options` have their environment overrides applied already
+  /// (ApplyEnvOverrides); `recovered` is what `storage` recovered at
+  /// open. Binds it as the default graph and — when the storage is
+  /// durable — attaches a WalRecorder so every committed primitive
+  /// mutation is appended to the log before the commit is acknowledged.
+  CypherEngine(const EngineOptions& options,
+               std::unique_ptr<StorageEngine> storage,
+               std::shared_ptr<PropertyGraph> recovered);
 
-  /// Applies the GQLITE_BATCH_SIZE / GQLITE_THREADS environment
-  /// overrides and clamps programmatic values — shared by the
-  /// constructor and set_options so reconfiguring an engine cannot
-  /// silently drop the overrides CI relies on. A garbage override is
-  /// remembered and surfaced as the error of every later
-  /// Prepare/Execute.
+  // ---- Statement API (reached through Database and Session) ------------
+
+  /// The committed state of the implicit Cypher 9 global graph: a frozen
+  /// snapshot (the one read statements execute against) that later
+  /// commits never change.
+  std::shared_ptr<const PropertyGraph> Snapshot() EXCLUDES(txn_mu_) {
+    return ReadSnapshot();
+  }
+
+  /// Opens a session; the engine must outlive every session it created.
+  std::unique_ptr<Session> CreateSession();
+
+  /// Parses, validates and runs a query. `params` supplies `$name`
+  /// parameters (§2: built-in parameter support).
+  Result<QueryResult> Execute(std::string_view query,
+                              const ValueMap& params = {});
+
+  /// Parses, validates and auto-parameterizes a query without running
+  /// it. The handle never stales: executing it re-plans through the plan
+  /// cache as needed.
+  Result<PreparedQuery> Prepare(std::string_view query);
+
+  /// Runs a prepared query. `params` supplies user `$name` parameters;
+  /// literals extracted at Prepare time are bound automatically (their
+  /// synthetic `$_pN` names never collide with user parameters).
+  Result<QueryResult> Execute(const PreparedQuery& prepared,
+                              const ValueMap& params = {});
+
+  /// Serializes the committed state as a new recovery baseline and
+  /// truncates the write-ahead log (no-op for in-memory storage).
+  /// Takes the writer slot for the duration: waits for an active write
+  /// transaction, and holds out new ones while the checkpoint file is
+  /// written.
+  Status Checkpoint();
+
+  /// Waits out an active write transaction, detaches the WAL recorder
+  /// and closes the storage engine; later write commits to a durable
+  /// database fail.
+  Status Close();
+
+  /// Renders the physical plan for a read query (Volcano operators).
+  Result<std::string> Explain(std::string_view query,
+                              const ValueMap& params = {});
+
+  /// Executes a read query on the Volcano runtime and renders the plan
+  /// with per-operator row counters (PROFILE).
+  Result<std::string> Profile(std::string_view query,
+                              const ValueMap& params = {});
+
+  // ---- Internals --------------------------------------------------------
+
+  /// Applies the GQLITE_BATCH_SIZE / GQLITE_THREADS / GQLITE_PLAN_MODE
+  /// environment overrides and clamps programmatic values. Database
+  /// calls it before it touches storage, so a garbage override fails the
+  /// open.
   static Status ApplyEnvOverrides(EngineOptions* options);
-  /// (Re)creates the fixed worker pool to match num_threads.
+  /// Creates the fixed worker pool (num_threads - 1 threads) on first
+  /// use.
   WorkerPool* EnsureWorkerPool() EXCLUDES(pool_mu_);
-  /// Folds one execution's counters into the cumulative stats.
-  void FoldRunStats(const BatchStats& run, const ParallelRunStats& prun)
-      EXCLUDES(stats_mu_);
-  /// Counts one serial fallback of a parallel-eligible execution under
-  /// its AnalyzeParallelCandidate reason (no-op on an empty reason).
-  void RecordSerialFallback(const std::string& reason) EXCLUDES(stats_mu_);
+  /// Runs a planned read and folds its counters into the cumulative
+  /// stats: on the parallel runtime when `pool` is set and the plan is
+  /// parallel-safe (taking turns on the shared pool), serially otherwise
+  /// — counting the serial fallback when `pool` is set. `prun` receives
+  /// the parallel run's counters (workers == 0 when it ran serially).
+  Result<Table> RunPlan(Plan* plan, WorkerPool* pool, ParallelRunStats* prun)
+      EXCLUDES(pool_exec_mu_, stats_mu_);
   MatchOptions MakeMatchOptions() const;
   PlannerOptions MakePlannerOptions() const;
-  /// Cache key suffix encoding every option that changes the compiled
-  /// plan (mode, planner, morphism, bounds, expand strategy).
-  std::string OptionsFingerprint() const;
 
   // ---- MVCC transaction core (used by Execute and by Session) ----------
 
@@ -423,20 +403,15 @@ class CypherEngine {
     uint64_t local_ = 0;
   };
 
-  EngineOptions options_;
-  /// Error from parsing the environment overrides (OK when clean).
-  Status options_status_ = Status::OK();
+  const EngineOptions options_;
   GraphCatalog catalog_;
-  /// The live head of the default graph. Replaced only by BindStorage
-  /// (at open) and RollbackWriter.
+  /// The live head of the default graph. Replaced only by RollbackWriter.
   GraphPtr graph_ GUARDED_BY(txn_mu_);
   PlanCache plan_cache_;
 
-  /// Persistence layer (BindStorage). Null for engines constructed
-  /// directly (legacy in-memory behavior, no recorder overhead at all).
-  /// Mutating storage state is always done while HOLDING the writer
-  /// slot, which serializes appends/checkpoints without a lock of its
-  /// own.
+  /// Persistence layer, bound at open. Mutating storage state is always
+  /// done while HOLDING the writer slot, which serializes
+  /// appends/checkpoints without a lock of its own.
   std::unique_ptr<StorageEngine> storage_;
   /// Observes the live head's primitive mutations for the WAL; non-null
   /// exactly when storage_ is durable (until Close). Harvested at commit.
@@ -467,10 +442,8 @@ class CypherEngine {
   /// Catalog version at the last stale-entry sweep (see RunVolcano).
   uint64_t swept_catalog_version_ GUARDED_BY(stats_mu_) = 0;
 
-  /// Guards the lazy (re)construction of the worker pool. The returned
-  /// raw pointer stays valid until the next set_options/num_threads
-  /// change — a single-owner operation (reconfiguration must quiesce
-  /// in-flight queries first).
+  /// Guards the lazy construction of the worker pool, which then lives
+  /// as long as the engine.
   Mutex pool_mu_;
   /// Fixed worker pool for the parallel runtime (num_threads - 1
   /// threads; the query thread is worker 0). Created lazily on the first

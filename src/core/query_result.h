@@ -11,7 +11,7 @@
 
 namespace gqlite {
 
-/// Result of CypherEngine::Execute: the output table, update counters for
+/// Result of Database::Execute: the output table, update counters for
 /// updating queries, and any graphs produced by RETURN GRAPH (the
 /// "table-graphs" result of §6).
 struct QueryResult {

@@ -71,7 +71,6 @@ Result<QueryResult> Session::Execute(const PreparedQuery& prepared,
     // engine-level contract — but on this session's rand() substream.
     return engine_->ExecuteWith(prepared, params, &rand_state_);
   }
-  GQL_RETURN_IF_ERROR(engine_->options_status_);
   if (!prepared.valid()) {
     return Status::InvalidArgument("executing an empty PreparedQuery");
   }

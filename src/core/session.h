@@ -16,12 +16,12 @@ enum class TxnMode : uint8_t {
   kWrite,
 };
 
-/// A single-threaded conversation with a CypherEngine that can group
+/// A single-threaded conversation with a Database that can group
 /// statements into explicit transactions (obtained via
-/// CypherEngine::CreateSession; the engine must outlive the session).
+/// Database::CreateSession; the database must outlive the session).
 ///
 /// ```
-/// auto session = engine.CreateSession();
+/// auto session = db.CreateSession();
 /// session->Begin(TxnMode::kRead);           // pin a snapshot
 /// auto r1 = session->Execute("MATCH (n) RETURN count(n)");
 /// auto r2 = session->Execute("MATCH (n) RETURN count(n)");  // same value
@@ -39,7 +39,7 @@ enum class TxnMode : uint8_t {
 ///    sees its own writes); Commit publishes them to later snapshots,
 ///    Rollback restores the pre-Begin state;
 ///  * outside any transaction, Execute behaves exactly like
-///    CypherEngine::Execute — per-statement auto-commit (writes WAIT for
+///    Database::Execute — per-statement auto-commit (writes WAIT for
 ///    the writer slot instead of surfacing a conflict).
 ///
 /// The default-graph binding is pinned at Begin (and per statement in

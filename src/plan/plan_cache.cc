@@ -116,12 +116,6 @@ void PlanCache::Clear() {
   index_.clear();
 }
 
-void PlanCache::set_capacity(size_t capacity) {
-  MutexLock lock(&mu_);
-  capacity_ = capacity;
-  EvictToCapacity();
-}
-
 void PlanCache::EvictToCapacity() {
   while (index_.size() > capacity_) {
     index_.erase(lru_.back()->key);

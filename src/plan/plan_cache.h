@@ -45,7 +45,8 @@ struct PlanCacheStats {
 };
 
 /// A bounded LRU cache of compiled physical plans keyed on the normalized
-/// (auto-parameterized) query text plus an engine-options fingerprint.
+/// (auto-parameterized) query text. One cache serves one engine, whose
+/// options are fixed, so the text alone identifies the plan.
 ///
 /// Validity is generation-based: an entry records, for every graph its
 /// plan touches, the graph's stats_version at planning time (plans bake
@@ -156,12 +157,7 @@ class PlanCache {
   /// Drops all entries (stats are kept; use ResetStats to clear them).
   void Clear() EXCLUDES(mu_);
 
-  /// Changes the bound; evicts LRU entries immediately if shrinking.
-  void set_capacity(size_t capacity) EXCLUDES(mu_);
-  size_t capacity() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return capacity_;
-  }
+  size_t capacity() const { return capacity_; }
   size_t size() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return index_.size();
@@ -185,7 +181,7 @@ class PlanCache {
   /// Mutable so const reads (size, stats) lock through the same
   /// capability as writers.
   mutable Mutex mu_;
-  size_t capacity_ GUARDED_BY(mu_);
+  const size_t capacity_;
   /// MRU at the front; eviction pops from the back.
   std::list<EntryPtr> lru_ GUARDED_BY(mu_);
   std::unordered_map<std::string, std::list<EntryPtr>::iterator> index_

@@ -35,7 +35,7 @@ struct PlannerOptions {
   DirectionPolicy direction_policy = DirectionPolicy::kCost;
   /// Morsel capacity of the batched runtime (1 = tuple-at-a-time).
   /// Copied into each plan's ExecContext for pipeline breakers and used
-  /// by RunPlanned/ExecutePlan for the root drain.
+  /// by ExecutePlan for the root drain.
   size_t batch_size = RowBatch::kDefaultCapacity;
   /// Worker count for morsel-driven parallel execution (src/exec/). With
   /// num_threads > 1 the planner builds one pipeline instance per worker

@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstdlib>
 
-#include "src/exec/parallel.h"
-
 namespace gqlite {
 
 namespace {
@@ -76,23 +74,6 @@ Result<size_t> EffectiveNumThreads(size_t configured) {
 Result<Table> ExecutePlan(Plan* plan, size_t batch_size, BatchStats* stats) {
   GQL_RETURN_IF_ERROR(plan->root->Open());
   return DrainPlan(plan->root.get(), batch_size, stats);
-}
-
-Result<Table> RunPlanned(CatalogRef catalog, GraphPtr graph,
-                         const ValueMap* params, const PlannerOptions& options,
-                         uint64_t* rand_state, const ast::Query& q,
-                         BatchStats* stats, WorkerPool* pool,
-                         ParallelRunStats* pstats, std::string* serial_reason) {
-  Planner planner(std::move(catalog), std::move(graph), params, options, rand_state);
-  GQL_ASSIGN_OR_RETURN(Plan plan, planner.PlanQuery(q));
-  if (options.num_threads > 1 && pool != nullptr) {
-    if (plan.parallel.safe) {
-      return ExecutePlanParallel(&plan, pool, options.batch_size, stats,
-                                 pstats);
-    }
-    if (serial_reason != nullptr) *serial_reason = plan.parallel.reason;
-  }
-  return ExecutePlan(&plan, options.batch_size, stats);
 }
 
 Result<std::string> ExplainQuery(CatalogRef catalog, GraphPtr graph,

@@ -7,9 +7,6 @@
 
 namespace gqlite {
 
-class WorkerPool;
-struct ParallelRunStats;
-
 /// Executes a compiled plan: Open the root and drain it morsel by morsel
 /// into a table. The runtime is batched ("morsel-at-a-time") Volcano
 /// iteration: operators keep the pull-based tree of §2's "Neo4j
@@ -32,7 +29,7 @@ Result<Table> ExecutePlan(Plan* plan,
 /// the cap) is an InvalidArgument error naming the variable — NOT a
 /// silent clamp; CI relying on the override must learn when it is
 /// ineffective. Every entry point that builds execution options
-/// (CypherEngine, test harnesses that call RunPlanned directly) must
+/// (Database::Open, test harnesses that plan and drain directly) must
 /// route its batch size through this so the override means the same
 /// thing everywhere.
 Result<size_t> EffectiveBatchSize(size_t configured);
@@ -43,23 +40,6 @@ Result<size_t> EffectiveBatchSize(size_t configured);
 /// programmatic value to [1, 256], and rejects garbage overrides with a
 /// clear error instead of silently clamping.
 Result<size_t> EffectiveNumThreads(size_t configured);
-
-/// Plans and executes a read-only query in one call (morsel size from
-/// `options.batch_size`). With `options.num_threads > 1` AND a non-null
-/// `pool`, parallel-safe plans run on the morsel-driven parallel runtime
-/// (src/exec/parallel.h); everything else takes the serial drain.
-/// `pstats` (optional) reports workers/morsels/merge tasks when the
-/// parallel path ran. `serial_reason` (optional) receives the
-/// AnalyzeParallelCandidate reason when a parallel-eligible execution
-/// (num_threads > 1, pool present) fell back to the serial drain — the
-/// engine folds these into per-reason fallback counters.
-Result<Table> RunPlanned(CatalogRef catalog, GraphPtr graph,
-                         const ValueMap* params, const PlannerOptions& options,
-                         uint64_t* rand_state, const ast::Query& q,
-                         BatchStats* stats = nullptr,
-                         WorkerPool* pool = nullptr,
-                         ParallelRunStats* pstats = nullptr,
-                         std::string* serial_reason = nullptr);
 
 /// Plans a query and renders the operator tree (EXPLAIN), headed by the
 /// execution model line (batched runtime + morsel size) and — when

@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/engine.h"
+#include "src/core/database.h"
 #include "src/core/session.h"
 #include "tests/test_db_util.h"
 
@@ -36,26 +36,26 @@ const char* const kReadQueries[] = {
     "MATCH (p:Person) WHERE p.score > 4 RETURN count(p) AS hi",
 };
 
-void SeedGraph(CypherEngine* engine) {
+void SeedGraph(Database* db) {
   for (int i = 0; i < 12; ++i) {
     std::string q = "CREATE (:Person {id: " + std::to_string(i) +
                     ", score: " + std::to_string(i % 9) + "})";
-    ASSERT_TRUE(engine->Execute(q).ok());
+    ASSERT_TRUE(db->Execute(q).ok());
   }
-  auto r = engine->Execute(
+  auto r = db->Execute(
       "MATCH (a:Person), (b:Person) WHERE b.id = a.id + 1 "
       "CREATE (a)-[:KNOWS]->(b)");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 }
 
 TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
-  CypherEngine engine;
-  SeedGraph(&engine);
+  Database db = testutil::OpenOn();
+  SeedGraph(&db);
 
   std::vector<std::thread> readers;
   readers.reserve(kReaderThreads);
   for (int t = 0; t < kReaderThreads; ++t) {
-    readers.emplace_back([&engine, t] {
+    readers.emplace_back([&db, t] {
       // One serial oracle per round: interpreter mode, opened on the
       // pinned snapshot. Frozen snapshots are safe to share as a
       // starting graph (reads never mutate them, and the database
@@ -63,7 +63,7 @@ TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
       EngineOptions oracle_opts;
       oracle_opts.mode = ExecutionMode::kInterpreter;
 
-      auto session = engine.CreateSession();
+      auto session = db.CreateSession();
       for (int round = 0; round < kReaderRounds; ++round) {
         ASSERT_TRUE(session->Begin(TxnMode::kRead).ok());
         GraphPtr snap = session->graph();
@@ -103,8 +103,8 @@ TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
   // The writer keeps churning the head through explicit write
   // transactions: inserts, property updates, detach-deletes (the COW
   // paths for slot pages, label index postings, and adjacency).
-  std::thread writer([&engine] {
-    auto session = engine.CreateSession();
+  std::thread writer([&db] {
+    auto session = db.CreateSession();
     for (int i = 0; i < kWriterCommits; ++i) {
       // The only writer in this test: the slot is always free.
       ASSERT_TRUE(session->Begin(TxnMode::kWrite).ok());
@@ -139,7 +139,7 @@ TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
     ++created;
     if (i % 3 == 2 && (i - 2) % 4 != 3) ++deleted;
   }
-  auto fin = engine.Execute("MATCH (n) RETURN count(n) AS c");
+  auto fin = db.Execute("MATCH (n) RETURN count(n) AS c");
   ASSERT_TRUE(fin.ok());
   EXPECT_EQ(fin->table.rows()[0][0].AsInt(), 12 + created - deleted);
 }
@@ -148,23 +148,23 @@ TEST(Concurrent, AutoCommitWritersSerializeByWaiting) {
   // Without explicit transactions, concurrent updating statements WAIT
   // for the writer slot instead of surfacing conflicts: all effects
   // must land, exactly once each.
-  CypherEngine engine;
+  Database db = testutil::OpenOn();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 8;
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&engine, t] {
+    writers.emplace_back([&db, t] {
       for (int i = 0; i < kPerThread; ++i) {
         std::string q = "CREATE (:W {owner: " + std::to_string(t) +
                         ", seq: " + std::to_string(i) + "})";
-        auto r = engine.Execute(q);
+        auto r = db.Execute(q);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
       }
     });
   }
   for (auto& w : writers) w.join();
-  auto fin = engine.Execute("MATCH (w:W) RETURN count(w) AS c");
+  auto fin = db.Execute("MATCH (w:W) RETURN count(w) AS c");
   ASSERT_TRUE(fin.ok());
   EXPECT_EQ(fin->table.rows()[0][0].AsInt(), kThreads * kPerThread);
 }

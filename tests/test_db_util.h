@@ -10,11 +10,11 @@
 namespace gqlite {
 namespace testutil {
 
-/// Opens an in-memory database whose default graph starts as `graph`:
-/// fixtures bind their data at open, the way durable recovery binds the
-/// recovered graph. Aborts on failure — no caller can go on without
-/// the database.
-inline Database OpenOn(GraphPtr graph, EngineOptions opts = {}) {
+/// Opens an in-memory database whose default graph starts as `graph`
+/// (an empty one when null): fixtures bind their data at open, the way
+/// durable recovery binds the recovered graph. Aborts on failure — no
+/// caller can go on without the database.
+inline Database OpenOn(GraphPtr graph = nullptr, EngineOptions opts = {}) {
   Result<Database> db = Database::OpenInMemory(opts, std::move(graph));
   if (!db.ok()) {
     std::fprintf(stderr, "OpenInMemory failed: %s\n",

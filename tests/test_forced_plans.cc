@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/engine.h"
 #include "src/plan/runtime.h"
 #include "tests/test_db_util.h"
 
@@ -261,11 +260,12 @@ TEST(PlanModeEnv, TokensApplyOverProgrammaticOptions) {
   ScopedEnv env("GQLITE_PLAN_MODE", "hashjoin,force-left,greedy");
   EngineOptions opts;
   opts.expand_strategy = ExpandStrategy::kAdjacency;  // overridden
-  CypherEngine engine(opts);
-  EXPECT_EQ(engine.options().expand_strategy, ExpandStrategy::kHashJoin);
-  EXPECT_EQ(engine.options().direction_policy, DirectionPolicy::kForceLeft);
-  EXPECT_EQ(engine.options().planner, PlannerOptions::Mode::kGreedy);
-  EXPECT_TRUE(engine.Execute("RETURN 1 AS one").ok());
+  Database db = testutil::OpenOn(nullptr, opts);
+  const EngineOptions& applied = db.engine().options();
+  EXPECT_EQ(applied.expand_strategy, ExpandStrategy::kHashJoin);
+  EXPECT_EQ(applied.direction_policy, DirectionPolicy::kForceLeft);
+  EXPECT_EQ(applied.planner, PlannerOptions::Mode::kGreedy);
+  EXPECT_TRUE(db.Execute("RETURN 1 AS one").ok());
 }
 
 TEST(PlanModeEnv, CostTokensRestoreTheDefaults) {
@@ -273,22 +273,22 @@ TEST(PlanModeEnv, CostTokensRestoreTheDefaults) {
   EngineOptions opts;
   opts.expand_strategy = ExpandStrategy::kHashJoin;
   opts.direction_policy = DirectionPolicy::kForceRight;
-  CypherEngine engine(opts);
-  EXPECT_EQ(engine.options().expand_strategy, ExpandStrategy::kCost);
-  EXPECT_EQ(engine.options().direction_policy, DirectionPolicy::kCost);
-  EXPECT_EQ(engine.options().planner, PlannerOptions::Mode::kDpStarts);
+  Database db = testutil::OpenOn(nullptr, opts);
+  const EngineOptions& applied = db.engine().options();
+  EXPECT_EQ(applied.expand_strategy, ExpandStrategy::kCost);
+  EXPECT_EQ(applied.direction_policy, DirectionPolicy::kCost);
+  EXPECT_EQ(applied.planner, PlannerOptions::Mode::kDpStarts);
 }
 
 TEST(PlanModeEnv, UnknownTokenIsAClearErrorNotAClamp) {
   for (const char* garbage : {"fastest", "hash join", "adjacency,", ",",
                               "adjacency;hashjoin", "FORCE-LEFT"}) {
     ScopedEnv env("GQLITE_PLAN_MODE", garbage);
-    CypherEngine engine;
-    auto r = engine.Execute("RETURN 1 AS one");
-    ASSERT_FALSE(r.ok()) << "accepted GQLITE_PLAN_MODE=" << garbage;
-    EXPECT_NE(r.status().ToString().find("GQLITE_PLAN_MODE"),
+    auto db = Database::OpenInMemory();
+    ASSERT_FALSE(db.ok()) << "accepted GQLITE_PLAN_MODE=" << garbage;
+    EXPECT_NE(db.status().ToString().find("GQLITE_PLAN_MODE"),
               std::string::npos)
-        << r.status().ToString();
+        << db.status().ToString();
   }
 }
 

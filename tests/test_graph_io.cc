@@ -1,14 +1,15 @@
 // Graph serialization tests: DumpToCypher must produce a script that,
-// executed on a fresh engine, rebuilds an equivalent graph — a round-trip
+// executed on a fresh database, rebuilds an equivalent graph — a round-trip
 // through the whole stack (store → literal rendering → lexer → parser →
 // analyzer → update executor → store).
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.h"
+#include "src/core/database.h"
 #include "src/graph/graph_io.h"
 #include "src/workload/generators.h"
 #include "src/workload/paper_graphs.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -16,13 +17,13 @@ namespace {
 /// Structural equivalence good enough for round-trip checks: counts per
 /// label/type, plus every query in `probes` returning the same bag on
 /// `a` and on the default graph of `reloaded`.
-void ExpectEquivalent(GraphPtr a, CypherEngine& reloaded,
+void ExpectEquivalent(GraphPtr a, Database& reloaded,
                       const std::vector<std::string>& probes) {
   std::shared_ptr<const PropertyGraph> b = reloaded.Snapshot();
   ASSERT_EQ(a->NumNodes(), b->NumNodes());
   ASSERT_EQ(a->NumRels(), b->NumRels());
   for (const std::string& q : probes) {
-    CypherEngine ea;
+    Database ea = testutil::OpenOn();
     ea.RegisterGraph("g", a);
     auto ra = ea.Execute("FROM GRAPH g " + q);
     auto rb = reloaded.Execute(q);
@@ -34,15 +35,15 @@ void ExpectEquivalent(GraphPtr a, CypherEngine& reloaded,
   }
 }
 
-/// Runs g's dump script on `engine` and returns the committed result.
+/// Runs g's dump script on `db` and returns the committed result.
 std::shared_ptr<const PropertyGraph> Reload(const PropertyGraph& g,
-                                            CypherEngine* engine) {
+                                            Database* db) {
   std::string script = DumpToCypher(g);
   if (!script.empty()) {
-    auto r = engine->Execute(script);
+    auto r = db->Execute(script);
     EXPECT_TRUE(r.ok()) << r.status().ToString() << "\nscript:\n" << script;
   }
-  return engine->Snapshot();
+  return db->Snapshot();
 }
 
 TEST(GraphIo, EmptyGraph) {
@@ -52,7 +53,7 @@ TEST(GraphIo, EmptyGraph) {
 
 TEST(GraphIo, PaperFigure1RoundTrip) {
   workload::PaperFigure1 fig = workload::MakePaperFigure1Graph();
-  CypherEngine reloaded;
+  Database reloaded = testutil::OpenOn();
   Reload(*fig.graph, &reloaded);
   ExpectEquivalent(
       fig.graph, reloaded,
@@ -76,8 +77,8 @@ TEST(GraphIo, EscapingAndValueKinds) {
                 {"map", Value::MakeMap({{"inner key", Value::Int(1)}})},
                 {"d", Value::Temporal(Date::FromYmd(2018, 6, 10))},
                 {"dur", Value::Temporal(Duration::Make(14, 3, 60, 0))}});
-  CypherEngine engine;
-  std::shared_ptr<const PropertyGraph> reloaded = Reload(g, &engine);
+  Database db = testutil::OpenOn();
+  std::shared_ptr<const PropertyGraph> reloaded = Reload(g, &db);
   ASSERT_EQ(reloaded->NumNodes(), 1u);
   NodeId n{0};
   EXPECT_EQ(reloaded->NodeProperty(n, "s").AsString(),
@@ -95,7 +96,7 @@ TEST(GraphIo, EscapingAndValueKinds) {
 
 TEST(GraphIo, RandomGraphRoundTrip) {
   GraphPtr g = workload::MakeRandomGraph(40, 80, 2024);
-  CypherEngine reloaded;
+  Database reloaded = testutil::OpenOn();
   Reload(*g, &reloaded);
   ExpectEquivalent(g, reloaded,
                    {"MATCH (a:A) RETURN count(*)",
@@ -110,8 +111,8 @@ TEST(GraphIo, DeletedEntitiesAreNotDumped) {
   NodeId b = g.CreateNode({"Drop"});
   g.CreateRelationship(a, b, "T").value();
   ASSERT_TRUE(g.DetachDeleteNode(b).ok());
-  CypherEngine engine;
-  std::shared_ptr<const PropertyGraph> reloaded = Reload(g, &engine);
+  Database db = testutil::OpenOn();
+  std::shared_ptr<const PropertyGraph> reloaded = Reload(g, &db);
   EXPECT_EQ(reloaded->NumNodes(), 1u);
   EXPECT_EQ(reloaded->NumRels(), 0u);
   EXPECT_EQ(reloaded->NodesWithLabel("Drop").size(), 0u);

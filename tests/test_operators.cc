@@ -5,10 +5,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.h"
+#include "src/core/database.h"
 #include "src/frontend/parser.h"
 #include "src/plan/operators.h"
 #include "src/workload/generators.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -187,29 +188,29 @@ TEST_F(OperatorTest, UnwindOperator) {
 }
 
 TEST_F(OperatorTest, ProfileCountersAfterExecution) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine.Execute("CREATE (:A)-[:T]->(:B), (:A)").ok());
-  auto profile = engine.Profile("MATCH (a:A)-[:T]->(b:B) RETURN b");
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:A)-[:T]->(:B), (:A)").ok());
+  auto profile = db.Profile("MATCH (a:A)-[:T]->(b:B) RETURN b");
   ASSERT_TRUE(profile.ok()) << profile.status().ToString();
   EXPECT_NE(profile->find("rows:"), std::string::npos) << *profile;
   EXPECT_NE(profile->find("result: 1 rows"), std::string::npos) << *profile;
 }
 
 TEST_F(OperatorTest, ExplainTreeShapes) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine.Execute("CREATE (:A)-[:T]->(:B)").ok());
-  auto e1 = engine.Explain("MATCH (a:A) OPTIONAL MATCH (a)-[:T]->(b) "
-                           "RETURN a, b");
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:A)-[:T]->(:B)").ok());
+  auto e1 = db.Explain("MATCH (a:A) OPTIONAL MATCH (a)-[:T]->(b) "
+                       "RETURN a, b");
   ASSERT_TRUE(e1.ok());
   EXPECT_NE(e1->find("OptionalApply"), std::string::npos) << *e1;
-  auto e2 = engine.Explain(
+  auto e2 = db.Explain(
       "MATCH (a:A) RETURN a AS n UNION MATCH (b:B) RETURN b AS n");
   ASSERT_TRUE(e2.ok());
   EXPECT_NE(e2->find("Union"), std::string::npos) << *e2;
-  auto e3 = engine.Explain("MATCH (a)-[:T*1..2]->(b) RETURN b");
+  auto e3 = db.Explain("MATCH (a)-[:T*1..2]->(b) RETURN b");
   ASSERT_TRUE(e3.ok());
   EXPECT_NE(e3->find("VarLengthExpand"), std::string::npos) << *e3;
-  auto e4 = engine.Explain("MATCH p = (a)-[:T]->(b) RETURN length(p)");
+  auto e4 = db.Explain("MATCH p = (a)-[:T]->(b) RETURN length(p)");
   ASSERT_TRUE(e4.ok());
   EXPECT_NE(e4->find("PatternMatch(fallback)"), std::string::npos) << *e4;
 }

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "src/common/sync.h"
-#include "src/core/engine.h"
 #include "src/exec/parallel.h"
 #include "src/exec/worker_pool.h"
 #include "src/frontend/parser.h"
@@ -573,25 +572,24 @@ TEST(ParallelEngine, ProfileReportsWorkersAndMorsels) {
 TEST(ParallelEngine, CachedParallelPlansReplanAfterGraphMutation) {
   EngineOptions opts;
   opts.num_threads = 2;
-  CypherEngine engine(opts);
+  Database db = testutil::OpenOn(nullptr, opts);
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(engine.Execute("CREATE (:P {v: " + std::to_string(i) + "})")
-                    .ok());
+    ASSERT_TRUE(db.Execute("CREATE (:P {v: " + std::to_string(i) + "})").ok());
   }
   const char* q = "MATCH (n:P) RETURN count(*) AS c";
-  auto first = engine.Execute(q);
+  auto first = db.Execute(q);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->table.rows()[0][0].AsInt(), 40);
   // Structural change bumps stats_version: the cached plan (and its
   // baked-in worker instances with their scan-domain assumptions) must
   // not be reused.
-  ASSERT_TRUE(engine.Execute("CREATE (:P {v: 100}), (:P {v: 101})").ok());
-  auto second = engine.Execute(q);
+  ASSERT_TRUE(db.Execute("CREATE (:P {v: 100}), (:P {v: 101})").ok());
+  auto second = db.Execute(q);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->table.rows()[0][0].AsInt(), 42);
 }
 
-TEST(ParallelEngine, PlanCacheKeySeparatesThreadCounts) {
+TEST(ParallelEngine, CachedParallelPlanIsReused) {
   if (!EffectiveNumThreads(2).ok() || *EffectiveNumThreads(2) != 2u) {
     GTEST_SKIP() << "GQLITE_THREADS overrides this test's thread count";
   }
@@ -603,14 +601,6 @@ TEST(ParallelEngine, PlanCacheKeySeparatesThreadCounts) {
   ASSERT_TRUE(second.ok());
   EXPECT_GE(db.engine().plan_cache_stats().hits, 1u);
   EXPECT_TRUE(first->table.SameBag(second->table));
-  // Re-keying through set_options: a different worker count must not
-  // reuse the 2-thread plan (its baked-in instances are wrong).
-  EngineOptions opts = db.engine().options();
-  opts.num_threads = 1;
-  db.engine().set_options(opts);
-  auto serial = db.Execute(q);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_TRUE(first->table.SameBag(serial->table));
 }
 
 // ---- Locking edge cases -----------------------------------------------------

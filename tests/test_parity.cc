@@ -75,26 +75,32 @@ const char* kCorpus[] = {
     "count(*) AS c ORDER BY isA",
 };
 
+// Plans with the Planner and drains with ExecutePlan — the layer this
+// harness tests, below Database — on a catalog holding just `graph`.
+Result<Table> PlanAndDrain(const GraphPtr& graph, const ast::Query& q,
+                           PlannerOptions opts, uint64_t rand_state) {
+  GraphCatalog catalog;
+  catalog.RegisterGraph(GraphCatalog::kDefaultGraphName, graph);
+  ValueMap params;
+  // Below Database, the harness must honor the CI morsel-size override
+  // itself (the batch-size-1 sanitizer leg relies on this corpus walking
+  // the batch-boundary resume paths).
+  GQL_ASSIGN_OR_RETURN(opts.batch_size, EffectiveBatchSize(opts.batch_size));
+  Planner planner(&catalog, graph, &params, opts, &rand_state);
+  GQL_ASSIGN_OR_RETURN(Plan plan, planner.PlanQuery(q));
+  return ExecutePlan(&plan, opts.batch_size);
+}
+
 Result<Table> RunVolcano(GraphPtr graph, const std::string& query,
                          PlannerOptions::Mode mode,
                          ExpandStrategy expand = ExpandStrategy::kCost) {
   GQL_ASSIGN_OR_RETURN(ast::Query q, ParseQuery(query));
   GQL_ASSIGN_OR_RETURN(QueryInfo info, Analyze(q));
   (void)info;
-  GraphCatalog catalog;
-  catalog.RegisterGraph(GraphCatalog::kDefaultGraphName, graph);
-  uint64_t rand_state = 0xC0FFEE;
-  ValueMap params;
   PlannerOptions opts;
   opts.mode = mode;
   opts.expand_strategy = expand;
-  // This harness drives RunPlanned below CypherEngine, so it must honor
-  // the CI morsel-size override itself (the batch-size-1 sanitizer leg
-  // relies on this corpus walking the batch-boundary resume paths).
-  GQL_ASSIGN_OR_RETURN(opts.batch_size, EffectiveBatchSize(opts.batch_size));
-  // Keep the ast::Query alive through execution: RunPlanned takes it by
-  // reference and finishes before returning.
-  return RunPlanned(&catalog, graph, &params, opts, &rand_state, q);
+  return PlanAndDrain(graph, q, opts, 0xC0FFEE);
 }
 
 class ParityTest : public ::testing::TestWithParam<const char*> {};
@@ -165,19 +171,10 @@ TEST(ParityMorphism, ModesAgreeAcrossEngines) {
     ASSERT_TRUE(reference.ok());
     auto parsed = ParseQuery(q);
     ASSERT_TRUE(parsed.ok());
-    ast::Query query = std::move(parsed).value();
-    GraphCatalog catalog;
-    catalog.RegisterGraph(GraphCatalog::kDefaultGraphName, g);
-    uint64_t rand_state = 1;
-    ValueMap params;
     PlannerOptions opts;
     opts.match = mo;
-    auto batch = EffectiveBatchSize(opts.batch_size);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    opts.batch_size = *batch;
-    auto planned =
-        RunPlanned(&catalog, g, &params, opts, &rand_state, query);
-    ASSERT_TRUE(planned.ok());
+    auto planned = PlanAndDrain(g, *parsed, opts, 1);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
     EXPECT_TRUE(reference->SameBag(*planned)) << static_cast<int>(m);
   }
 }

@@ -6,10 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.h"
+#include "src/core/database.h"
 #include "src/core/session.h"
 #include "src/frontend/canonicalize.h"
 #include "src/frontend/parser.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -18,9 +19,9 @@ ValueMap P(std::initializer_list<std::pair<const std::string, Value>> kv) {
   return ValueMap(kv);
 }
 
-QueryResult MustRun(CypherEngine& engine, const std::string& q,
+QueryResult MustRun(Database& db, const std::string& q,
                     const ValueMap& params = {}) {
-  auto r = engine.Execute(q, params);
+  auto r = db.Execute(q, params);
   EXPECT_TRUE(r.ok()) << q << "\n  " << r.status().ToString();
   return std::move(r).value();
 }
@@ -90,94 +91,94 @@ TEST(AutoParameterize, SyntheticNamesSkipUserParameters) {
   EXPECT_EQ(ap.extracted.at("_p1").AsInt(), 7);
 }
 
-// ---- Cache behaviour through the engine ------------------------------------
+// ---- Cache behaviour through the database ----------------------------------
 
 TEST(PlanCache, LiteralVariantsShareOnePlan) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE ({id: 1, v: 10}), ({id: 2, v: 20}), "
-                  "({id: 3, v: 30})");
-  auto r1 = MustRun(engine, "MATCH (n {id: 1}) RETURN n.v AS v");
-  auto r2 = MustRun(engine, "MATCH (n {id: 2}) RETURN n.v AS v");
-  auto r3 = MustRun(engine, "MATCH (n {id: 3}) RETURN n.v AS v");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE ({id: 1, v: 10}), ({id: 2, v: 20}), "
+              "({id: 3, v: 30})");
+  auto r1 = MustRun(db, "MATCH (n {id: 1}) RETURN n.v AS v");
+  auto r2 = MustRun(db, "MATCH (n {id: 2}) RETURN n.v AS v");
+  auto r3 = MustRun(db, "MATCH (n {id: 3}) RETURN n.v AS v");
   ASSERT_EQ(r1.table.NumRows(), 1u);
   EXPECT_EQ(r1.table.rows()[0][0].AsInt(), 10);
   EXPECT_EQ(r2.table.rows()[0][0].AsInt(), 20);
   EXPECT_EQ(r3.table.rows()[0][0].AsInt(), 30);
-  const PlanCacheStats& s = engine.plan_cache_stats();
+  const PlanCacheStats& s = db.engine().plan_cache_stats();
   EXPECT_EQ(s.misses, 1u);  // first read plans
   EXPECT_EQ(s.hits, 2u);    // the other literals reuse it
-  EXPECT_EQ(engine.plan_cache_size(), 1u);
+  EXPECT_EQ(db.engine().plan_cache().size(), 1u);
 }
 
 TEST(PlanCache, HitCountsAndDistinctQueries) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE (:A {v: 1})-[:T]->(:B {v: 2})");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE (:A {v: 1})-[:T]->(:B {v: 2})");
   const std::string q1 = "MATCH (a:A) RETURN count(*) AS c";
   const std::string q2 = "MATCH (a:A)-[:T]->(b:B) RETURN count(*) AS c";
-  MustRun(engine, q1);
-  MustRun(engine, q1);
-  MustRun(engine, q2);
-  MustRun(engine, q2);
-  MustRun(engine, q1);
-  const PlanCacheStats& s = engine.plan_cache_stats();
+  MustRun(db, q1);
+  MustRun(db, q1);
+  MustRun(db, q2);
+  MustRun(db, q2);
+  MustRun(db, q1);
+  const PlanCacheStats& s = db.engine().plan_cache_stats();
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.hits, 3u);
   EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(engine.plan_cache_size(), 2u);
+  EXPECT_EQ(db.engine().plan_cache().size(), 2u);
 }
 
 TEST(PlanCache, LruEvictionOrder) {
   EngineOptions opts;
   opts.plan_cache_capacity = 2;
-  CypherEngine engine(opts);
-  MustRun(engine, "CREATE ({v: 1})");
+  Database db = testutil::OpenOn(nullptr, opts);
+  MustRun(db, "CREATE ({v: 1})");
   const std::string qa = "MATCH (a) RETURN count(*) AS a";
   const std::string qb = "MATCH (b) RETURN count(*) AS b";
   const std::string qc = "MATCH (c) RETURN count(*) AS c";
-  MustRun(engine, qa);  // cache: [a]
-  MustRun(engine, qb);  // cache: [b, a]
-  MustRun(engine, qa);  // promote a: [a, b]
-  MustRun(engine, qc);  // evicts b (LRU): [c, a]
-  EXPECT_EQ(engine.plan_cache_stats().evictions, 1u);
-  uint64_t hits_before = engine.plan_cache_stats().hits;
-  MustRun(engine, qa);  // still cached (was promoted)
-  EXPECT_EQ(engine.plan_cache_stats().hits, hits_before + 1);
-  uint64_t misses_before = engine.plan_cache_stats().misses;
-  MustRun(engine, qb);  // was evicted → miss (and evicts a)
-  EXPECT_EQ(engine.plan_cache_stats().misses, misses_before + 1);
-  EXPECT_EQ(engine.plan_cache_size(), 2u);
+  MustRun(db, qa);  // cache: [a]
+  MustRun(db, qb);  // cache: [b, a]
+  MustRun(db, qa);  // promote a: [a, b]
+  MustRun(db, qc);  // evicts b (LRU): [c, a]
+  EXPECT_EQ(db.engine().plan_cache_stats().evictions, 1u);
+  uint64_t hits_before = db.engine().plan_cache_stats().hits;
+  MustRun(db, qa);  // still cached (was promoted)
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, hits_before + 1);
+  uint64_t misses_before = db.engine().plan_cache_stats().misses;
+  MustRun(db, qb);  // was evicted → miss (and evicts a)
+  EXPECT_EQ(db.engine().plan_cache_stats().misses, misses_before + 1);
+  EXPECT_EQ(db.engine().plan_cache().size(), 2u);
 }
 
 TEST(PlanCache, InvalidationAfterCreateAndDelete) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE (:A {v: 1}), (:A {v: 2})");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE (:A {v: 1}), (:A {v: 2})");
   const std::string q = "MATCH (a:A) RETURN count(*) AS c";
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 2);
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 2);
-  EXPECT_EQ(engine.plan_cache_stats().hits, 1u);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 2);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 2);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, 1u);
 
   // CREATE changes the statistics generation: the cached plan is stale.
-  MustRun(engine, "CREATE (:A {v: 3})");
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 3);
-  EXPECT_EQ(engine.plan_cache_stats().invalidations, 1u);
+  MustRun(db, "CREATE (:A {v: 3})");
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 3);
+  EXPECT_EQ(db.engine().plan_cache_stats().invalidations, 1u);
 
   // And DELETE does too.
-  MustRun(engine, "MATCH (a:A {v: 3}) DELETE a");
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 2);
-  EXPECT_EQ(engine.plan_cache_stats().invalidations, 2u);
+  MustRun(db, "MATCH (a:A {v: 3}) DELETE a");
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 2);
+  EXPECT_EQ(db.engine().plan_cache_stats().invalidations, 2u);
 }
 
 TEST(PlanCache, PropertyUpdatesDoNotInvalidate) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE (:A {v: 1})");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE (:A {v: 1})");
   const std::string q = "MATCH (a:A) RETURN a.v AS v";
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 1);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
   // SET only touches a property value: plans do not depend on it, the
   // cached plan stays valid and still sees the new value at runtime.
-  MustRun(engine, "MATCH (a:A) SET a.v = 99");
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 99);
-  EXPECT_EQ(engine.plan_cache_stats().invalidations, 0u);
-  EXPECT_EQ(engine.plan_cache_stats().hits, 1u);
+  MustRun(db, "MATCH (a:A) SET a.v = 99");
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 99);
+  EXPECT_EQ(db.engine().plan_cache_stats().invalidations, 0u);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, 1u);
 }
 
 TEST(PlanCache, PropertyDriftPastThresholdInvalidates) {
@@ -185,21 +186,21 @@ TEST(PlanCache, PropertyDriftPastThresholdInvalidates) {
   // NDV sketches a cost-sensitive plan baked its selectivities from:
   // past kDataDriftThreshold increments of data_version the entry must
   // re-plan. Below the threshold (the single-SET workload) it must NOT.
-  CypherEngine engine;
-  MustRun(engine, "CREATE (:A {v: 1}), (:A {v: 2}), (:A {v: 3})");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE (:A {v: 1}), (:A {v: 2}), (:A {v: 3})");
   const std::string q = "MATCH (a:A) RETURN count(*) AS c";
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 3);
-  MustRun(engine, "MATCH (a:A {v: 1}) SET a.v = 9");  // small drift
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 3);
-  EXPECT_EQ(engine.plan_cache_stats().invalidations, 0u);
-  EXPECT_GE(engine.plan_cache_stats().hits, 1u);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 3);
+  MustRun(db, "MATCH (a:A {v: 1}) SET a.v = 9");  // small drift
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 3);
+  EXPECT_EQ(db.engine().plan_cache_stats().invalidations, 0u);
+  EXPECT_GE(db.engine().plan_cache_stats().hits, 1u);
 
   // 3 nodes x 6 rounds = 18 property writes >= the threshold of 16.
   for (int round = 0; round < 6; ++round) {
-    MustRun(engine, "MATCH (a:A) SET a.w = " + std::to_string(round));
+    MustRun(db, "MATCH (a:A) SET a.w = " + std::to_string(round));
   }
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 3);
-  EXPECT_GE(engine.plan_cache_stats().invalidations, 1u);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 3);
+  EXPECT_GE(db.engine().plan_cache_stats().invalidations, 1u);
 }
 
 TEST(PlanCache, PropertyRewriteFlipsTheCheaperPlan) {
@@ -208,114 +209,114 @@ TEST(PlanCache, PropertyRewriteFlipsTheCheaperPlan) {
   // 60 :A nodes all share p = 0, so `a.p = 0` is unselective and the
   // 2-node :B scan anchors the chain. After rewriting p to distinct
   // values the same predicate selects ~1 row and the anchor flips to :A.
-  CypherEngine engine;
+  Database db = testutil::OpenOn();
   for (int i = 0; i < 60; ++i) {
-    MustRun(engine, "CREATE (:A {id: " + std::to_string(i) + ", p: 0})");
+    MustRun(db, "CREATE (:A {id: " + std::to_string(i) + ", p: 0})");
   }
-  MustRun(engine, "CREATE (:B {id: 100}), (:B {id: 101})");
-  MustRun(engine,
+  MustRun(db, "CREATE (:B {id: 100}), (:B {id: 101})");
+  MustRun(db,
           "MATCH (a:A {id: 0}), (b:B {id: 100}) CREATE (a)-[:R]->(b)");
   const std::string q =
       "MATCH (a:A)-[:R]->(b:B) WHERE a.p = 0 RETURN count(*) AS c";
 
-  auto before = engine.Explain(q);
+  auto before = db.Explain(q);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   EXPECT_NE(before->find("NodeByLabelScan(b:B)"), std::string::npos)
       << *before;
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 1);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
 
   // 60 property writes: far past the drift threshold, and the p sketch
   // now holds ~61 distinct values.
-  MustRun(engine, "MATCH (a:A) SET a.p = a.id + 1");
-  auto after = engine.Explain(q);
+  MustRun(db, "MATCH (a:A) SET a.p = a.id + 1");
+  auto after = db.Explain(q);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_NE(after->find("NodeByLabelScan(a:A)"), std::string::npos)
       << *after;
 
   // The cached entry from the pre-rewrite execution must not serve the
   // stale plan: the lookup invalidates and re-plans.
-  uint64_t invalidations_before = engine.plan_cache_stats().invalidations;
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 0);
-  EXPECT_GT(engine.plan_cache_stats().invalidations, invalidations_before);
+  uint64_t invalidations_before = db.engine().plan_cache_stats().invalidations;
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 0);
+  EXPECT_GT(db.engine().plan_cache_stats().invalidations, invalidations_before);
 }
 
 TEST(PlanCache, LabelChangesInvalidate) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE (:A {v: 1}), ({v: 2})");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE (:A {v: 1}), ({v: 2})");
   const std::string q = "MATCH (a:A) RETURN count(*) AS c";
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 1);
-  MustRun(engine, "MATCH (n {v: 2}) SET n:A");
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 2);
-  EXPECT_GE(engine.plan_cache_stats().invalidations, 1u);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
+  MustRun(db, "MATCH (n {v: 2}) SET n:A");
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 2);
+  EXPECT_GE(db.engine().plan_cache_stats().invalidations, 1u);
 }
 
 TEST(PlanCache, CatalogRebindInvalidates) {
-  CypherEngine engine;
+  Database db = testutil::OpenOn();
   auto other = std::make_shared<PropertyGraph>();
   other->CreateNode({"A"}, {});
-  engine.RegisterGraph("g", other);
+  db.RegisterGraph("g", other);
   const std::string q = "FROM GRAPH g MATCH (a:A) RETURN count(*) AS c";
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 1);
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 1);
-  EXPECT_EQ(engine.plan_cache_stats().hits, 1u);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, 1u);
   // Rebinding the name to a different graph must stale the plan.
   auto replacement = std::make_shared<PropertyGraph>();
   replacement->CreateNode({"A"}, {});
   replacement->CreateNode({"A"}, {});
-  engine.RegisterGraph("g", replacement);
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 2);
-  EXPECT_GE(engine.plan_cache_stats().invalidations, 1u);
+  db.RegisterGraph("g", replacement);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 2);
+  EXPECT_GE(db.engine().plan_cache_stats().invalidations, 1u);
 }
 
 TEST(PlanCache, DisabledCacheStillAnswers) {
   EngineOptions opts;
-  opts.use_plan_cache = false;
-  CypherEngine engine(opts);
-  MustRun(engine, "CREATE ({v: 1})");
+  opts.plan_cache_capacity = 0;
+  Database db = testutil::OpenOn(nullptr, opts);
+  MustRun(db, "CREATE ({v: 1})");
   const std::string q = "MATCH (n) RETURN n.v AS v";
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 1);
-  EXPECT_EQ(MustRun(engine, q).table.rows()[0][0].AsInt(), 1);
-  EXPECT_EQ(engine.plan_cache_size(), 0u);
-  EXPECT_EQ(engine.plan_cache_stats().hits, 0u);
-  EXPECT_EQ(engine.plan_cache_stats().misses, 0u);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
+  EXPECT_EQ(db.engine().plan_cache().size(), 0u);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, 0u);
+  EXPECT_EQ(db.engine().plan_cache_stats().misses, 0u);
 }
 
 TEST(PlanCache, ZeroCapacityDisables) {
   EngineOptions opts;
   opts.plan_cache_capacity = 0;
-  CypherEngine engine(opts);
-  MustRun(engine, "CREATE ({v: 1})");
-  MustRun(engine, "MATCH (n) RETURN n.v AS v");
-  MustRun(engine, "MATCH (n) RETURN n.v AS v");
-  EXPECT_EQ(engine.plan_cache_size(), 0u);
+  Database db = testutil::OpenOn(nullptr, opts);
+  MustRun(db, "CREATE ({v: 1})");
+  MustRun(db, "MATCH (n) RETURN n.v AS v");
+  MustRun(db, "MATCH (n) RETURN n.v AS v");
+  EXPECT_EQ(db.engine().plan_cache().size(), 0u);
 }
 
 TEST(PlanCache, InterpreterModeBypassesCache) {
   EngineOptions opts;
   opts.mode = ExecutionMode::kInterpreter;
-  CypherEngine engine(opts);
-  MustRun(engine, "CREATE ({v: 1})");
-  MustRun(engine, "MATCH (n) RETURN n.v AS v");
-  MustRun(engine, "MATCH (n) RETURN n.v AS v");
-  EXPECT_EQ(engine.plan_cache_size(), 0u);
+  Database db = testutil::OpenOn(nullptr, opts);
+  MustRun(db, "CREATE ({v: 1})");
+  MustRun(db, "MATCH (n) RETURN n.v AS v");
+  MustRun(db, "MATCH (n) RETURN n.v AS v");
+  EXPECT_EQ(db.engine().plan_cache().size(), 0u);
 }
 
 TEST(PlanCache, DerivedColumnNamesSurviveCanonicalization) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE ({v: 41})");
-  auto r = MustRun(engine, "MATCH (n) RETURN n.v + 1");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE ({v: 41})");
+  auto r = MustRun(db, "MATCH (n) RETURN n.v + 1");
   ASSERT_EQ(r.table.fields().size(), 1u);
   EXPECT_EQ(r.table.fields()[0], "(n.v + 1)");
   EXPECT_EQ(r.table.rows()[0][0].AsInt(), 42);
 }
 
 TEST(PlanCache, OrderByOverProjectedAggregateStillWorks) {
-  CypherEngine engine;
-  MustRun(engine,
+  Database db = testutil::OpenOn();
+  MustRun(db,
           "CREATE ({g: 1}), ({g: 1}), ({g: 2}), ({g: 2}), ({g: 2})");
   // ORDER BY count(*) + 1 resolves by expression text against the
   // projected column — canonicalization must not break the match.
-  auto r = MustRun(engine,
+  auto r = MustRun(db,
                    "MATCH (n) RETURN n.g AS g, count(*) + 1 "
                    "ORDER BY count(*) + 1 DESC");
   ASSERT_EQ(r.table.NumRows(), 2u);
@@ -323,61 +324,46 @@ TEST(PlanCache, OrderByOverProjectedAggregateStillWorks) {
   EXPECT_EQ(r.table.rows()[1][0].AsInt(), 1);
 }
 
-TEST(PlanCache, DifferentEngineOptionsDoNotShareEntries) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE ({v: 1})-[:T]->({v: 2})");
-  const std::string q = "MATCH (a)-[:T]->(b) RETURN count(*) AS c";
-  MustRun(engine, q);
-  // max_var_length is part of the fingerprint and, unlike the planner
-  // fields, never rewritten by an environment override.
-  EngineOptions opts = engine.options();
-  opts.max_var_length = 10;
-  engine.set_options(opts);
-  MustRun(engine, q);  // different fingerprint → separate entry
-  EXPECT_EQ(engine.plan_cache_size(), 2u);
-  EXPECT_EQ(engine.plan_cache_stats().misses, 2u);
-}
-
 TEST(PlanCache, QuotedStringLiteralsDoNotCollide) {
   // Projection-item literals stay in the normalized text, where
   // FormatValue prints strings unescaped: `'a' + 'b'` and the single
   // literal `a' + 'b` would unparse identically. The cache key's literal
   // digest (length-prefixed) must keep them apart.
-  CypherEngine engine;
-  auto r1 = MustRun(engine, "RETURN 'a' + 'b' AS x");
-  auto r2 = MustRun(engine, "RETURN 'a\\' + \\'b' AS x");
+  Database db = testutil::OpenOn();
+  auto r1 = MustRun(db, "RETURN 'a' + 'b' AS x");
+  auto r2 = MustRun(db, "RETURN 'a\\' + \\'b' AS x");
   EXPECT_EQ(r1.table.rows()[0][0].AsString(), "ab");
   EXPECT_EQ(r2.table.rows()[0][0].AsString(), "a' + 'b");
-  EXPECT_EQ(engine.plan_cache_size(), 2u);
+  EXPECT_EQ(db.engine().plan_cache().size(), 2u);
 }
 
 TEST(PlanCache, FloatLiteralsBeyondDisplayPrecisionDoNotCollide) {
   // FormatValue prints floats at display precision; the digest uses
   // round-trip precision so near-identical float literals stay distinct.
-  CypherEngine engine;
-  auto r1 = MustRun(engine, "RETURN 1.0 AS x");
-  auto r2 = MustRun(engine, "RETURN 1.0000000000000002 AS x");
+  Database db = testutil::OpenOn();
+  auto r1 = MustRun(db, "RETURN 1.0 AS x");
+  auto r2 = MustRun(db, "RETURN 1.0000000000000002 AS x");
   EXPECT_NE(r1.table.rows()[0][0].AsFloat(), r2.table.rows()[0][0].AsFloat());
-  EXPECT_EQ(engine.plan_cache_size(), 2u);
+  EXPECT_EQ(db.engine().plan_cache().size(), 2u);
 }
 
 TEST(PlanCache, SweepReleasesStaleEntriesOnCatalogChange) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE ({v: 1})");
-  MustRun(engine, "MATCH (n) RETURN n.v AS v");
-  EXPECT_EQ(engine.plan_cache_size(), 1u);
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE ({v: 1})");
+  MustRun(db, "MATCH (n) RETURN n.v AS v");
+  EXPECT_EQ(db.engine().plan_cache().size(), 1u);
   // A write rollback re-registers the restored default graph, which
   // strands the entry; the next read query (any key) sweeps it so the
   // abandoned head is released promptly.
-  auto writer = engine.CreateSession();
+  auto writer = db.CreateSession();
   ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
   ASSERT_TRUE(writer->Execute("CREATE ({v: 2})").ok());
   ASSERT_TRUE(writer->Rollback().ok());
-  MustRun(engine, "MATCH (m) RETURN count(*) AS c");
-  EXPECT_EQ(engine.plan_cache_size(), 1u);  // stale entry swept
-  EXPECT_GE(engine.plan_cache_stats().invalidations, 1u);
+  MustRun(db, "MATCH (m) RETURN count(*) AS c");
+  EXPECT_EQ(db.engine().plan_cache().size(), 1u);  // stale entry swept
+  EXPECT_GE(db.engine().plan_cache_stats().invalidations, 1u);
   // And queries actually see the restored default graph.
-  auto r = MustRun(engine, "MATCH (n) RETURN n.v AS v");
+  auto r = MustRun(db, "MATCH (n) RETURN n.v AS v");
   ASSERT_EQ(r.table.NumRows(), 1u);
   EXPECT_EQ(r.table.rows()[0][0].AsInt(), 1);
 }
@@ -386,8 +372,9 @@ TEST(PlanCache, SweepReleasesStaleEntriesOnCatalogChange) {
 
 TEST(Prepare, ExecuteWithDifferentParamsMatchesFreshPlanning) {
   EngineOptions cold_opts;
-  cold_opts.use_plan_cache = false;
-  CypherEngine cached, fresh(cold_opts);
+  cold_opts.plan_cache_capacity = 0;
+  Database cached = testutil::OpenOn();
+  Database fresh = testutil::OpenOn(nullptr, cold_opts);
   const char* setup =
       "CREATE (:P {id: 1, v: 10})-[:T]->(:P {id: 2, v: 20}), "
       "(:P {id: 2, v: 20})-[:T]->(:P {id: 3, v: 30})";
@@ -408,70 +395,70 @@ TEST(Prepare, ExecuteWithDifferentParamsMatchesFreshPlanning) {
     EXPECT_TRUE(got->table.SameBag(want->table)) << "id=" << id;
   }
   // One plan, reused for every execution after the first.
-  EXPECT_EQ(cached.plan_cache_stats().misses, 1u);
-  EXPECT_EQ(cached.plan_cache_stats().hits, 2u);
+  EXPECT_EQ(cached.engine().plan_cache_stats().misses, 1u);
+  EXPECT_EQ(cached.engine().plan_cache_stats().hits, 2u);
 }
 
 TEST(Prepare, ExtractedLiteralsActAsDefaults) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE ({id: 7, v: 70})");
-  auto stmt = engine.Prepare("MATCH (n {id: 7}) RETURN n.v AS v");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE ({id: 7, v: 70})");
+  auto stmt = db.Prepare("MATCH (n {id: 7}) RETURN n.v AS v");
   ASSERT_TRUE(stmt.ok());
-  auto r = engine.Execute(*stmt);
+  auto r = db.Execute(*stmt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->table.NumRows(), 1u);
   EXPECT_EQ(r->table.rows()[0][0].AsInt(), 70);
 }
 
 TEST(Prepare, UserParamNamedLikeSyntheticIsNotShadowed) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE ({a: 5, b: 7})");
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE ({a: 5, b: 7})");
   // The query uses $_p0 itself; the literal 7 must get a different
   // synthetic name, and the user's $_p0 binding must win for $_p0.
-  auto stmt = engine.Prepare(
+  auto stmt = db.Prepare(
       "MATCH (n) WHERE n.a = $_p0 AND n.b = 7 RETURN count(*) AS c");
   ASSERT_TRUE(stmt.ok());
-  auto hit = engine.Execute(*stmt, P({{"_p0", Value::Int(5)}}));
+  auto hit = db.Execute(*stmt, P({{"_p0", Value::Int(5)}}));
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_EQ(hit->table.rows()[0][0].AsInt(), 1);
-  auto miss = engine.Execute(*stmt, P({{"_p0", Value::Int(6)}}));
+  auto miss = db.Execute(*stmt, P({{"_p0", Value::Int(6)}}));
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss->table.rows()[0][0].AsInt(), 0);
 }
 
 TEST(Prepare, UpdatingQueriesRunOnTheInterpreter) {
-  CypherEngine engine;
-  auto stmt = engine.Prepare("CREATE (:A {v: $v})");
+  Database db = testutil::OpenOn();
+  auto stmt = db.Prepare("CREATE (:A {v: $v})");
   ASSERT_TRUE(stmt.ok());
   EXPECT_TRUE(stmt->updating());
   for (int64_t v = 1; v <= 3; ++v) {
-    auto r = engine.Execute(*stmt, P({{"v", Value::Int(v)}}));
+    auto r = db.Execute(*stmt, P({{"v", Value::Int(v)}}));
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->stats.nodes_created, 1);
   }
-  auto check = MustRun(engine, "MATCH (a:A) RETURN sum(a.v) AS s");
+  auto check = MustRun(db, "MATCH (a:A) RETURN sum(a.v) AS s");
   EXPECT_EQ(check.table.rows()[0][0].AsInt(), 6);
   // Updating queries never enter the plan cache.
-  EXPECT_EQ(engine.plan_cache_size(), 1u);  // only the MATCH above
+  EXPECT_EQ(db.engine().plan_cache().size(), 1u);  // only the MATCH above
 }
 
 TEST(Prepare, EmptyHandleIsAnError) {
-  CypherEngine engine;
+  Database db = testutil::OpenOn();
   PreparedQuery empty;
-  auto r = engine.Execute(empty);
+  auto r = db.Execute(empty);
   EXPECT_FALSE(r.ok());
 }
 
 TEST(Prepare, RepeatedExecutionOfCachedPlanIsStable) {
-  CypherEngine engine;
-  MustRun(engine, "CREATE ({v: 1}), ({v: 2}), ({v: 3})");
-  auto stmt = engine.Prepare(
+  Database db = testutil::OpenOn();
+  MustRun(db, "CREATE ({v: 1}), ({v: 2}), ({v: 3})");
+  auto stmt = db.Prepare(
       "MATCH (n) WHERE n.v >= $lo RETURN n.v AS v ORDER BY v");
   ASSERT_TRUE(stmt.ok());
-  auto first = engine.Execute(*stmt, P({{"lo", Value::Int(2)}}));
+  auto first = db.Execute(*stmt, P({{"lo", Value::Int(2)}}));
   ASSERT_TRUE(first.ok());
   for (int i = 0; i < 3; ++i) {
-    auto again = engine.Execute(*stmt, P({{"lo", Value::Int(2)}}));
+    auto again = db.Execute(*stmt, P({{"lo", Value::Int(2)}}));
     ASSERT_TRUE(again.ok());
     EXPECT_TRUE(first->table.SameBag(again->table));
   }

@@ -4,7 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.h"
+#include "src/core/database.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -12,18 +13,17 @@ namespace {
 class ProjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(engine_
-                    .Execute("UNWIND [[1, 'a'], [2, 'b'], [2, 'a'], "
-                             "[3, 'b'], [null, 'a']] AS row "
-                             "CREATE (:N {v: row[0], g: row[1]})")
+    ASSERT_TRUE(db_.Execute("UNWIND [[1, 'a'], [2, 'b'], [2, 'a'], "
+                            "[3, 'b'], [null, 'a']] AS row "
+                            "CREATE (:N {v: row[0], g: row[1]})")
                     .ok());
   }
   Table Run(const std::string& q) {
-    auto r = engine_.Execute(q);
+    auto r = db_.Execute(q);
     EXPECT_TRUE(r.ok()) << q << ": " << r.status().ToString();
     return r.ok() ? std::move(r->table) : Table();
   }
-  CypherEngine engine_;
+  Database db_ = testutil::OpenOn();
 };
 
 TEST_F(ProjectionTest, ImplicitGroupingKeys) {
@@ -147,9 +147,9 @@ TEST_F(ProjectionTest, OrderByProjectedExpressionText) {
 }
 
 TEST_F(ProjectionTest, SkipLimitValidation) {
-  auto bad = engine_.Execute("MATCH (n:N) RETURN n.v LIMIT -1");
+  auto bad = db_.Execute("MATCH (n:N) RETURN n.v LIMIT -1");
   EXPECT_FALSE(bad.ok());
-  auto bad2 = engine_.Execute("MATCH (n:N) RETURN n.v SKIP 'x'");
+  auto bad2 = db_.Execute("MATCH (n:N) RETURN n.v SKIP 'x'");
   EXPECT_FALSE(bad2.ok());
   Table t = Run("MATCH (n:N) RETURN n.v SKIP 99");
   EXPECT_EQ(t.NumRows(), 0u);

@@ -8,9 +8,10 @@
 
 #include <random>
 
-#include "src/core/engine.h"
+#include "src/core/database.h"
 #include "src/frontend/parser.h"
 #include "src/value/value_compare.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -158,7 +159,7 @@ TEST(ParserRobustness, GarbageInputs) {
 TEST(EngineRobustness, RandomQuerySequencesNeverCrash) {
   // Replay a scripted mix of valid and invalid operations; the engine
   // must stay consistent (every error is a clean Status).
-  CypherEngine engine;
+  Database db = testutil::OpenOn();
   const char* script[] = {
       "CREATE (:A {v: 1})-[:T]->(:B {v: 2})",
       "MATCH (a) RETURN bogus",                    // semantic error
@@ -174,13 +175,13 @@ TEST(EngineRobustness, RandomQuerySequencesNeverCrash) {
   };
   int errors = 0;
   for (const char* q : script) {
-    auto r = engine.Execute(q);
+    auto r = db.Execute(q);
     if (!r.ok()) ++errors;
   }
   // Exactly the semantic error and the division by zero; the repeated
   // DELETE simply matches nothing.
   EXPECT_EQ(errors, 2);
-  auto final_count = engine.Execute("MATCH (n) RETURN count(*) AS c");
+  auto final_count = db.Execute("MATCH (n) RETURN count(*) AS c");
   ASSERT_TRUE(final_count.ok());
   EXPECT_EQ(final_count->table.rows()[0][0].AsInt(), 1);  // the :C node
 }

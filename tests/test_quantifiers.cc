@@ -4,10 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/engine.h"
+#include "src/core/database.h"
 #include "src/eval/evaluator.h"
 #include "src/frontend/ast_printer.h"
 #include "src/frontend/parser.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -75,27 +76,25 @@ TEST(Reduce, AccumulatorVisibleInBody) {
 }
 
 TEST(QuantifiersInQueries, WhereClause) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine
-                  .Execute("CREATE ({vs: [1, 2, 3]}), ({vs: [1, -2]}), "
-                           "({vs: []})")
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE ({vs: [1, 2, 3]}), ({vs: [1, -2]}), "
+                         "({vs: []})")
                   .ok());
-  auto r = engine.Execute(
+  auto r = db.Execute(
       "MATCH (n) WHERE all(v IN n.vs WHERE v > 0) RETURN count(*) AS c");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->table.rows()[0][0].AsInt(), 2);  // [1,2,3] and []
-  auto r2 = engine.Execute(
+  auto r2 = db.Execute(
       "MATCH (n) WHERE any(v IN n.vs WHERE v < 0) RETURN count(*) AS c");
   EXPECT_EQ(r2->table.rows()[0][0].AsInt(), 1);
 }
 
 TEST(QuantifiersInQueries, OverVarLengthRelationships) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine
-                  .Execute("CREATE (:S)-[:T {w: 1}]->()-[:T {w: 2}]->(:E), "
-                           "(:S)-[:T {w: 1}]->()-[:T {w: 1}]->(:E)")
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:S)-[:T {w: 1}]->()-[:T {w: 2}]->(:E), "
+                         "(:S)-[:T {w: 1}]->()-[:T {w: 1}]->(:E)")
                   .ok());
-  auto r = engine.Execute(
+  auto r = db.Execute(
       "MATCH (:S)-[rs:T*2]->(:E) "
       "WHERE all(r IN rs WHERE r.w = 1) RETURN count(*) AS c");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -103,10 +102,9 @@ TEST(QuantifiersInQueries, OverVarLengthRelationships) {
 }
 
 TEST(QuantifiersInQueries, ReduceOverCollect) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine.Execute("UNWIND [1, 2, 3, 4] AS x CREATE ({v: x})")
-                  .ok());
-  auto r = engine.Execute(
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("UNWIND [1, 2, 3, 4] AS x CREATE ({v: x})").ok());
+  auto r = db.Execute(
       "MATCH (n) WITH collect(n.v) AS vs "
       "RETURN reduce(acc = 0, v IN vs | acc + v * v) AS sumsq");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -114,12 +112,12 @@ TEST(QuantifiersInQueries, ReduceOverCollect) {
 }
 
 TEST(QuantifiersSemantics, ScopingChecked) {
-  CypherEngine engine;
+  Database db = testutil::OpenOn();
   // The iteration variable is not visible outside.
-  auto bad = engine.Execute("RETURN all(x IN [1] WHERE x > 0) AND x > 0");
+  auto bad = db.Execute("RETURN all(x IN [1] WHERE x > 0) AND x > 0");
   EXPECT_FALSE(bad.ok());
   // The list expression cannot use the iteration variable.
-  auto bad2 = engine.Execute("RETURN any(x IN [x] WHERE x > 0)");
+  auto bad2 = db.Execute("RETURN any(x IN [x] WHERE x > 0)");
   EXPECT_FALSE(bad2.ok());
 }
 

@@ -8,8 +8,8 @@
 #include <string>
 
 #include "src/core/database.h"
-#include "src/core/engine.h"
 #include "src/core/session.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -20,34 +20,34 @@ int64_t CountNodes(Session* s) {
   return r->table.rows()[0][0].AsInt();
 }
 
-int64_t CountNodes(CypherEngine* engine) {
-  auto r = engine->Execute("MATCH (n) RETURN count(n) AS c");
+int64_t CountNodes(Database* db) {
+  auto r = db->Execute("MATCH (n) RETURN count(n) AS c");
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r->table.rows()[0][0].AsInt();
 }
 
 TEST(Session, AutoCommitMatchesEngine) {
-  CypherEngine engine;
-  auto session = engine.CreateSession();
+  Database db = testutil::OpenOn();
+  auto session = db.CreateSession();
   ASSERT_TRUE(session->Execute("CREATE (:A {x: 1})").ok());
   EXPECT_FALSE(session->in_transaction());
   EXPECT_EQ(session->graph(), nullptr);
-  EXPECT_EQ(CountNodes(&engine), 1);
+  EXPECT_EQ(CountNodes(&db), 1);
 }
 
 TEST(Session, ReadTransactionPinsSnapshot) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine.Execute("CREATE (:A), (:A)").ok());
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:A), (:A)").ok());
 
-  auto reader = engine.CreateSession();
+  auto reader = db.CreateSession();
   ASSERT_TRUE(reader->Begin(TxnMode::kRead).ok());
   EXPECT_EQ(CountNodes(reader.get()), 2);
 
   // A commit through the engine (auto-commit writer) must not leak into
   // the pinned snapshot.
-  ASSERT_TRUE(engine.Execute("CREATE (:A)").ok());
+  ASSERT_TRUE(db.Execute("CREATE (:A)").ok());
   EXPECT_EQ(CountNodes(reader.get()), 2);
-  EXPECT_EQ(CountNodes(&engine), 3);
+  EXPECT_EQ(CountNodes(&db), 3);
 
   // After the transaction closes, the session sees the new state.
   ASSERT_TRUE(reader->Commit().ok());
@@ -55,11 +55,11 @@ TEST(Session, ReadTransactionPinsSnapshot) {
 }
 
 TEST(Session, SnapshotSeesNoneOfConcurrentWriterChanges) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine.Execute("CREATE (:A {x: 1})").ok());
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:A {x: 1})").ok());
 
-  auto reader = engine.CreateSession();
-  auto writer = engine.CreateSession();
+  auto reader = db.CreateSession();
+  auto writer = db.CreateSession();
   ASSERT_TRUE(reader->Begin(TxnMode::kRead).ok());
   ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
 
@@ -86,9 +86,9 @@ TEST(Session, SnapshotSeesNoneOfConcurrentWriterChanges) {
 }
 
 TEST(Session, WriteWriteConflictSurfaces) {
-  CypherEngine engine;
-  auto s1 = engine.CreateSession();
-  auto s2 = engine.CreateSession();
+  Database db = testutil::OpenOn();
+  auto s1 = db.CreateSession();
+  auto s2 = db.CreateSession();
   ASSERT_TRUE(s1->Begin(TxnMode::kWrite).ok());
 
   Status conflict = s2->Begin(TxnMode::kWrite);
@@ -102,52 +102,52 @@ TEST(Session, WriteWriteConflictSurfaces) {
 }
 
 TEST(Session, UpdatingStatementRejectedInReadTransaction) {
-  CypherEngine engine;
-  auto session = engine.CreateSession();
+  Database db = testutil::OpenOn();
+  auto session = db.CreateSession();
   ASSERT_TRUE(session->Begin(TxnMode::kRead).ok());
   auto r = session->Execute("CREATE (:A)");
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // The failed statement does not poison the transaction.
   EXPECT_EQ(CountNodes(session.get()), 0);
   ASSERT_TRUE(session->Commit().ok());
-  EXPECT_EQ(CountNodes(&engine), 0);
+  EXPECT_EQ(CountNodes(&db), 0);
 }
 
 TEST(Session, RollbackRestoresPreBeginState) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine.Execute("CREATE (:A {x: 1})").ok());
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:A {x: 1})").ok());
 
-  auto session = engine.CreateSession();
+  auto session = db.CreateSession();
   ASSERT_TRUE(session->Begin(TxnMode::kWrite).ok());
   ASSERT_TRUE(session->Execute("MATCH (a:A) SET a.x = 2").ok());
   ASSERT_TRUE(session->Execute("CREATE (:B), (:C)").ok());
   EXPECT_EQ(CountNodes(session.get()), 3);
   ASSERT_TRUE(session->Rollback().ok());
 
-  EXPECT_EQ(CountNodes(&engine), 1);
-  auto r = engine.Execute("MATCH (a:A) RETURN a.x AS x");
+  EXPECT_EQ(CountNodes(&db), 1);
+  auto r = db.Execute("MATCH (a:A) RETURN a.x AS x");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->table.rows()[0][0].AsInt(), 1);
 }
 
 TEST(Session, DestructorRollsBackOpenWrite) {
-  CypherEngine engine;
+  Database db = testutil::OpenOn();
   {
-    auto session = engine.CreateSession();
+    auto session = db.CreateSession();
     ASSERT_TRUE(session->Begin(TxnMode::kWrite).ok());
     ASSERT_TRUE(session->Execute("CREATE (:A)").ok());
     // Session destroyed with the transaction still open.
   }
-  EXPECT_EQ(CountNodes(&engine), 0);
+  EXPECT_EQ(CountNodes(&db), 0);
   // The writer slot was released: a fresh write transaction succeeds.
-  auto s2 = engine.CreateSession();
+  auto s2 = db.CreateSession();
   EXPECT_TRUE(s2->Begin(TxnMode::kWrite).ok());
   EXPECT_TRUE(s2->Commit().ok());
 }
 
 TEST(Session, DoubleBeginAndStrayCommitFail) {
-  CypherEngine engine;
-  auto session = engine.CreateSession();
+  Database db = testutil::OpenOn();
+  auto session = db.CreateSession();
   EXPECT_EQ(session->Commit().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(session->Rollback().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(session->Begin(TxnMode::kRead).ok());
@@ -157,11 +157,11 @@ TEST(Session, DoubleBeginAndStrayCommitFail) {
 }
 
 TEST(Session, ResultsOutliveSessionAndTransaction) {
-  CypherEngine engine;
-  ASSERT_TRUE(engine.Execute("CREATE (:A {name: 'keep'})").ok());
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:A {name: 'keep'})").ok());
   Result<QueryResult> r = Status::InvalidArgument("not yet assigned");
   {
-    auto session = engine.CreateSession();
+    auto session = db.CreateSession();
     ASSERT_TRUE(session->Begin(TxnMode::kRead).ok());
     r = session->Execute("MATCH (a:A) RETURN a.name AS name");
     ASSERT_TRUE(session->Commit().ok());
@@ -174,17 +174,17 @@ TEST(Session, ResultsOutliveSessionAndTransaction) {
 TEST(Session, PlanCacheInvalidationVisibleAcrossSessions) {
   EngineOptions opts;
   opts.plan_cache_capacity = 8;
-  CypherEngine engine(opts);
-  ASSERT_TRUE(engine.Execute("CREATE (:A)").ok());
+  Database db = testutil::OpenOn(nullptr, opts);
+  ASSERT_TRUE(db.Execute("CREATE (:A)").ok());
 
-  auto s1 = engine.CreateSession();
-  auto s2 = engine.CreateSession();
+  auto s1 = db.CreateSession();
+  auto s2 = db.CreateSession();
   const std::string q = "MATCH (n:A) RETURN count(n) AS c";
 
   // Warm the cache through s1, hit it through s2.
   ASSERT_TRUE(s1->Execute(q).ok());
   ASSERT_TRUE(s2->Execute(q).ok());
-  PlanCacheStats warm = engine.plan_cache_stats();
+  PlanCacheStats warm = db.engine().plan_cache_stats();
   EXPECT_GE(warm.hits, 1u);
 
   // A structural change through s1 must invalidate the cached plan for
@@ -193,7 +193,7 @@ TEST(Session, PlanCacheInvalidationVisibleAcrossSessions) {
   auto r = s2->Execute(q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->table.rows()[0][0].AsInt(), 3);
-  PlanCacheStats after = engine.plan_cache_stats();
+  PlanCacheStats after = db.engine().plan_cache_stats();
   EXPECT_GT(after.invalidations + after.misses,
             warm.invalidations + warm.misses);
 }
@@ -300,7 +300,7 @@ TEST(Session, RandSubstreamsAreIndependentAndReproducible) {
   };
   EngineOptions opts;
   opts.rand_seed = 42;
-  CypherEngine a(opts);
+  Database a = testutil::OpenOn(nullptr, opts);
   auto a1 = a.CreateSession();
   auto a2 = a.CreateSession();
   double a1_first = draw(a1.get());
@@ -309,7 +309,7 @@ TEST(Session, RandSubstreamsAreIndependentAndReproducible) {
 
   // Same engine seed, same creation order, but a2's statements
   // interleaved differently: per-session sequences must not change.
-  CypherEngine b(opts);
+  Database b = testutil::OpenOn(nullptr, opts);
   auto b1 = b.CreateSession();
   auto b2 = b.CreateSession();
   EXPECT_DOUBLE_EQ(draw(b2.get()), a2_first);
@@ -320,13 +320,13 @@ TEST(Session, RandSubstreamsAreIndependentAndReproducible) {
   // Distinct substreams: the two sessions (and the engine-level stream)
   // do not replay one another.
   EXPECT_NE(a1_first, a2_first);
-  CypherEngine c(opts);
+  Database c = testutil::OpenOn(nullptr, opts);
   auto engine_first = c.Execute("RETURN rand() AS r");
   ASSERT_TRUE(engine_first.ok());
   EXPECT_NE(engine_first->table.rows()[0][0].AsFloat(), a1_first);
 
   // Session statements leave the engine-level stream untouched.
-  CypherEngine d(opts);
+  Database d = testutil::OpenOn(nullptr, opts);
   auto ds = d.CreateSession();
   (void)draw(ds.get());
   (void)draw(ds.get());
@@ -336,7 +336,7 @@ TEST(Session, RandSubstreamsAreIndependentAndReproducible) {
                    engine_first->table.rows()[0][0].AsFloat());
 
   // The substream also feeds statements inside explicit transactions.
-  CypherEngine e(opts);
+  Database e = testutil::OpenOn(nullptr, opts);
   auto es = e.CreateSession();
   ASSERT_TRUE(es->Begin(TxnMode::kRead).ok());
   EXPECT_DOUBLE_EQ(draw(es.get()), a1_first);
@@ -348,12 +348,12 @@ TEST(Session, ReadTransactionPinsCatalogBindings) {
   // name/URL bindings are captured at Begin, so a concurrent
   // RegisterGraph cannot rebind a name mid-transaction (statement 1 and
   // statement 2 of the same read transaction must see the same graph).
-  CypherEngine engine;
+  Database db = testutil::OpenOn();
   auto g1 = std::make_shared<PropertyGraph>();
   g1->CreateNode({"V"});
-  engine.RegisterGraph("g", g1);
+  db.RegisterGraph("g", g1);
 
-  auto reader = engine.CreateSession();
+  auto reader = db.CreateSession();
   ASSERT_TRUE(reader->Begin(TxnMode::kRead).ok());
   auto count = [&]() {
     auto r = reader->Execute("FROM GRAPH g MATCH (n) RETURN count(n) AS c");
@@ -366,7 +366,7 @@ TEST(Session, ReadTransactionPinsCatalogBindings) {
   auto g2 = std::make_shared<PropertyGraph>();
   g2->CreateNode({"V"});
   g2->CreateNode({"V"});
-  engine.RegisterGraph("g", g2);
+  db.RegisterGraph("g", g2);
   EXPECT_EQ(count(), 1);
 
   // A name REGISTERED AFTER Begin is still reachable — pinning freezes
@@ -375,7 +375,7 @@ TEST(Session, ReadTransactionPinsCatalogBindings) {
   g3->CreateNode({"W"});
   g3->CreateNode({"W"});
   g3->CreateNode({"W"});
-  engine.RegisterGraph("late", g3);
+  db.RegisterGraph("late", g3);
   auto late = reader->Execute(
       "FROM GRAPH late MATCH (n) RETURN count(n) AS c");
   ASSERT_TRUE(late.ok()) << late.status().ToString();

@@ -12,8 +12,9 @@
 
 #include <cstdlib>
 
-#include "src/core/engine.h"
+#include "src/core/database.h"
 #include "src/plan/runtime.h"
+#include "tests/test_db_util.h"
 
 namespace gqlite {
 namespace {
@@ -677,12 +678,12 @@ TEST_P(TckTest, Scenarios) {
   for (const Scenario& s : Scenarios()) {
     EngineOptions opts;
     opts.mode = GetParam();
-    CypherEngine engine(opts);
+    Database db = testutil::OpenOn(nullptr, opts);
     for (const char* setup : s.setup) {
-      auto r = engine.Execute(setup);
+      auto r = db.Execute(setup);
       ASSERT_TRUE(r.ok()) << s.name << " setup: " << r.status().ToString();
     }
-    auto result = engine.Execute(s.query);
+    auto result = db.Execute(s.query);
     ASSERT_TRUE(result.ok()) << s.name << ": " << result.status().ToString();
     CheckRows(s, *result);
   }
@@ -715,11 +716,11 @@ TEST_P(TckBatchTest, BatchedRuntimeMatchesInterpreter) {
   for (const Scenario& s : Scenarios()) {
     EngineOptions iopts;
     iopts.mode = ExecutionMode::kInterpreter;
-    CypherEngine interp(iopts);
+    Database interp = testutil::OpenOn(nullptr, iopts);
     EngineOptions bopts;
     bopts.mode = ExecutionMode::kVolcano;
     bopts.batch_size = GetParam();
-    CypherEngine batched(bopts);
+    Database batched = testutil::OpenOn(nullptr, bopts);
     for (const char* setup : s.setup) {
       ASSERT_TRUE(interp.Execute(setup).ok()) << s.name;
       ASSERT_TRUE(batched.Execute(setup).ok()) << s.name;
@@ -759,10 +760,10 @@ TEST(TckParallel, ParallelRuntimeMatchesInterpreter) {
   for (const Scenario& s : Scenarios()) {
     EngineOptions iopts;
     iopts.mode = ExecutionMode::kInterpreter;
-    CypherEngine interp(iopts);
+    Database interp = testutil::OpenOn(nullptr, iopts);
     EngineOptions popts;
     popts.num_threads = 4;
-    CypherEngine parallel(popts);
+    Database parallel = testutil::OpenOn(nullptr, popts);
     for (const char* setup : s.setup) {
       ASSERT_TRUE(interp.Execute(setup).ok()) << s.name;
       ASSERT_TRUE(parallel.Execute(setup).ok()) << s.name;
@@ -785,29 +786,30 @@ TEST(TckParallel, ParallelRuntimeMatchesInterpreter) {
 // guarantee the cache must uphold.
 TEST(TckPlanCache, CachedPlansMatchFreshPlanning) {
   for (const Scenario& s : Scenarios()) {
-    CypherEngine engine;  // Volcano mode, plan cache on (defaults)
+    // Volcano mode, plan cache on (defaults).
+    Database db = testutil::OpenOn();
     for (const char* setup : s.setup) {
-      auto r = engine.Execute(setup);
+      auto r = db.Execute(setup);
       ASSERT_TRUE(r.ok()) << s.name << " setup: " << r.status().ToString();
     }
-    auto stmt = engine.Prepare(s.query);
+    auto stmt = db.Prepare(s.query);
     ASSERT_TRUE(stmt.ok()) << s.name << ": " << stmt.status().ToString();
-    auto first = engine.Execute(*stmt);
+    auto first = db.Execute(*stmt);
     ASSERT_TRUE(first.ok()) << s.name << ": " << first.status().ToString();
     CheckRows(s, *first);
     if (stmt->updating()) continue;  // re-running would mutate again
 
     // Second execution reuses the cached plan; the text path shares it
     // too (auto-parameterized key). Both must reproduce the first run.
-    auto again = engine.Execute(*stmt);
+    auto again = db.Execute(*stmt);
     ASSERT_TRUE(again.ok()) << s.name << ": " << again.status().ToString();
     EXPECT_TRUE(first->table.SameBag(again->table))
         << s.name << "\nfirst:\n" << first->table.ToString()
         << "cached:\n" << again->table.ToString();
-    auto text = engine.Execute(s.query);
+    auto text = db.Execute(s.query);
     ASSERT_TRUE(text.ok()) << s.name << ": " << text.status().ToString();
     EXPECT_TRUE(first->table.SameBag(text->table)) << s.name;
-    EXPECT_GE(engine.plan_cache_stats().hits, 2u) << s.name;
+    EXPECT_GE(db.engine().plan_cache_stats().hits, 2u) << s.name;
   }
 }
 
