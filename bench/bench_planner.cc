@@ -5,10 +5,11 @@
 // planning (IDP + cost model). We compare:
 //   * the reference interpreter (naive full enumeration, the formal
 //     semantics executed literally);
-//   * Volcano with naive left-to-right pattern order;
-//   * Volcano with greedy cost-based anchoring;
-//   * Volcano with exhaustive anchor search (exact for chain patterns —
-//     the chain specialization of IDP).
+//   * Volcano with naive left-to-right pattern order (the forced
+//     adjacency + force-right corner);
+//   * Volcano with the cost-based chain planner (cheapest anchor,
+//     cheaper frontier first);
+//   * the cost planner with each per-hop expand operator forced.
 // The query anchors on a highly selective label at the far end of the
 // pattern, so anchor choice changes the intermediate cardinality by
 // orders of magnitude.
@@ -43,17 +44,16 @@ const char* kQuery =
     "WHERE d.idx = 3 RETURN count(p) AS c";
 
 void RunMode(benchmark::State& state, ExecutionMode mode,
-             PlannerOptions::Mode planner,
              ExpandStrategy strategy = ExpandStrategy::kCost,
              DirectionPolicy direction = DirectionPolicy::kCost) {
   GraphPtr g = MakeLopsided(static_cast<size_t>(state.range(0)));
   EngineOptions opts;
   opts.mode = mode;
-  opts.planner = planner;
   opts.expand_strategy = strategy;
   opts.direction_policy = direction;
   // This benchmark measures the planner itself: plan reuse would collapse
-  // all planner modes onto the warm path (see bench_plancache for that).
+  // all planner settings onto the warm path (see bench_plancache for
+  // that).
   opts.plan_cache_capacity = 0;
   Database db = bench::MakeDatabase(g, opts);
   for (auto _ : state) {
@@ -63,34 +63,30 @@ void RunMode(benchmark::State& state, ExecutionMode mode,
 }
 
 void BM_Interpreter(benchmark::State& state) {
-  RunMode(state, ExecutionMode::kInterpreter, PlannerOptions::Mode::kGreedy);
+  RunMode(state, ExecutionMode::kInterpreter);
 }
 void BM_VolcanoLeftToRight(benchmark::State& state) {
-  RunMode(state, ExecutionMode::kVolcano, PlannerOptions::Mode::kLeftToRight);
+  RunMode(state, ExecutionMode::kVolcano, ExpandStrategy::kAdjacency,
+          DirectionPolicy::kForceRight);
 }
 void BM_VolcanoGreedy(benchmark::State& state) {
-  RunMode(state, ExecutionMode::kVolcano, PlannerOptions::Mode::kGreedy);
-}
-void BM_VolcanoDpStarts(benchmark::State& state) {
-  RunMode(state, ExecutionMode::kVolcano, PlannerOptions::Mode::kDpStarts);
+  RunMode(state, ExecutionMode::kVolcano);
 }
 // Forced-plan rows: each side of the per-hop expand-operator choice,
-// under the DP search. Their spread over BM_VolcanoDpStarts (which may
-// pick either per hop) is the price of forcing the wrong operator —
-// and the differential harness runs exactly these configurations.
+// under the cost planner's anchor and direction. Their spread over
+// BM_VolcanoGreedy (which may pick either per hop) is the price of
+// forcing the wrong operator — and the differential harness runs
+// exactly these configurations.
 void BM_VolcanoForcedAdjacency(benchmark::State& state) {
-  RunMode(state, ExecutionMode::kVolcano, PlannerOptions::Mode::kDpStarts,
-          ExpandStrategy::kAdjacency);
+  RunMode(state, ExecutionMode::kVolcano, ExpandStrategy::kAdjacency);
 }
 void BM_VolcanoForcedHashJoin(benchmark::State& state) {
-  RunMode(state, ExecutionMode::kVolcano, PlannerOptions::Mode::kDpStarts,
-          ExpandStrategy::kHashJoin);
+  RunMode(state, ExecutionMode::kVolcano, ExpandStrategy::kHashJoin);
 }
 
 BENCHMARK(BM_Interpreter)->Arg(500)->Arg(2000);
 BENCHMARK(BM_VolcanoLeftToRight)->Arg(500)->Arg(2000)->Arg(8000);
 BENCHMARK(BM_VolcanoGreedy)->Arg(500)->Arg(2000)->Arg(8000);
-BENCHMARK(BM_VolcanoDpStarts)->Arg(500)->Arg(2000)->Arg(8000);
 BENCHMARK(BM_VolcanoForcedAdjacency)->Arg(2000)->Arg(8000);
 BENCHMARK(BM_VolcanoForcedHashJoin)->Arg(2000)->Arg(8000);
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific banned-API lint, run by the `lint` CMake target and CI.
 
-Five rule families, each encoding a project invariant that neither the
+Six rule families, each encoding a project invariant that neither the
 compiler nor clang-tidy enforces:
 
   raw-sync       Raw std::mutex / std::condition_variable / std::atomic /
@@ -39,6 +39,12 @@ compiler nor clang-tidy enforces:
                  behind the StorageEngine interface, so crash-safety
                  invariants (append order, atomic replace, CRC framing)
                  are auditable in one directory.
+
+  env-override   getenv in src/ outside src/plan/runtime.cc (the
+                 GQLITE_BATCH_SIZE / GQLITE_THREADS overrides) and
+                 src/storage/wal.cc (the crash-sweep fault hook). Every
+                 environment knob is an untested configuration axis, so
+                 a new one must be added here on purpose, not slip in.
 
 Waivers: append `// lint: allow(<rule>) <reason>` on the offending line,
 or as a full-line comment on the line directly above (for lines that
@@ -112,6 +118,15 @@ RULES = [
                       and not path.startswith("src/storage/")),
         "raw file IO outside src/storage/; durability goes through the "
         "StorageEngine interface (WAL + checkpoint)",
+    ),
+    (
+        "env-override",
+        re.compile(r"\bgetenv\s*\("),
+        lambda path: (path.startswith("src/")
+                      and path not in ("src/plan/runtime.cc",
+                                       "src/storage/wal.cc")),
+        "environment read outside src/plan/runtime.cc and "
+        "src/storage/wal.cc; configuration goes through EngineOptions",
     ),
 ]
 

@@ -46,8 +46,8 @@ class Database {
  public:
   /// Opens (creating on first use) a durable database rooted at the
   /// directory `path` and recovers its committed state. A garbage
-  /// GQLITE_BATCH_SIZE / GQLITE_THREADS / GQLITE_PLAN_MODE override
-  /// fails the open before the directory is touched.
+  /// GQLITE_BATCH_SIZE / GQLITE_THREADS override fails the open before
+  /// the directory is touched.
   static Result<Database> Open(const std::string& path,
                                EngineOptions options = {});
   /// Opens a database with no persistence at all. `initial` is the

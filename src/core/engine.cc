@@ -1,7 +1,5 @@
 #include "src/core/engine.h"
 
-#include <cstdlib>
-
 #include "src/core/session.h"
 #include "src/exec/parallel.h"
 #include "src/exec/worker_pool.h"
@@ -27,47 +25,6 @@ struct EntryReleaser {
   }
 };
 
-/// Applies the GQLITE_PLAN_MODE override: comma-separated tokens, each
-/// setting the planner mode, the expand strategy or the direction
-/// policy. Strict by the same rule as the numeric overrides — an
-/// unknown token is an error naming the variable, not a silent default
-/// (a misspelled forced-plan token would quietly test nothing).
-Status ApplyPlanModeEnv(EngineOptions* options) {
-  const char* env = std::getenv("GQLITE_PLAN_MODE");
-  if (env == nullptr || env[0] == '\0') return Status::OK();
-  std::string_view rest = env;
-  bool more = true;
-  while (more) {
-    size_t comma = rest.find(',');
-    std::string_view tok = rest.substr(0, comma);
-    more = comma != std::string_view::npos;
-    if (more) rest = rest.substr(comma + 1);
-    if (tok == "ltr") {
-      options->planner = PlannerOptions::Mode::kLeftToRight;
-    } else if (tok == "greedy") {
-      options->planner = PlannerOptions::Mode::kGreedy;
-    } else if (tok == "dp") {
-      options->planner = PlannerOptions::Mode::kDpStarts;
-    } else if (tok == "adjacency") {
-      options->expand_strategy = ExpandStrategy::kAdjacency;
-    } else if (tok == "hashjoin") {
-      options->expand_strategy = ExpandStrategy::kHashJoin;
-    } else if (tok == "cost-expand") {
-      options->expand_strategy = ExpandStrategy::kCost;
-    } else if (tok == "force-right") {
-      options->direction_policy = DirectionPolicy::kForceRight;
-    } else if (tok == "force-left") {
-      options->direction_policy = DirectionPolicy::kForceLeft;
-    } else if (tok == "cost-direction") {
-      options->direction_policy = DirectionPolicy::kCost;
-    } else {
-      return Status::InvalidArgument("GQLITE_PLAN_MODE: unknown token \"" +
-                                     std::string(tok) + "\"");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status CypherEngine::ApplyEnvOverrides(EngineOptions* options) {
@@ -75,7 +32,6 @@ Status CypherEngine::ApplyEnvOverrides(EngineOptions* options) {
                        EffectiveBatchSize(options->batch_size));
   GQL_ASSIGN_OR_RETURN(options->num_threads,
                        EffectiveNumThreads(options->num_threads));
-  GQL_RETURN_IF_ERROR(ApplyPlanModeEnv(options));
   return Status::OK();
 }
 
@@ -205,7 +161,6 @@ MatchOptions CypherEngine::MakeMatchOptions() const {
 
 PlannerOptions CypherEngine::MakePlannerOptions() const {
   PlannerOptions popts;
-  popts.mode = options_.planner;
   popts.expand_strategy = options_.expand_strategy;
   popts.direction_policy = options_.direction_policy;
   popts.batch_size = options_.batch_size;

@@ -33,7 +33,6 @@ enum class ExecutionMode : uint8_t { kInterpreter, kVolcano };
 
 struct EngineOptions {
   ExecutionMode mode = ExecutionMode::kVolcano;
-  PlannerOptions::Mode planner = PlannerOptions::Mode::kGreedy;
   /// Pattern-matching morphism (§8 configurable morphisms).
   Morphism morphism = Morphism::kEdgeIsomorphism;
   /// Cap substituted for ∞ in unbounded variable-length patterns (only
@@ -42,19 +41,13 @@ struct EngineOptions {
   /// Per-hop physical operator for chain expands: kCost compares the
   /// adjacency Expand against the relationship-store hash join per step
   /// on the executing snapshot's statistics; the forced values pin one
-  /// side (kHashJoin is the E14 join-expand baseline). The environment
-  /// variable GQLITE_PLAN_MODE overrides this and the two fields around
-  /// it when the database opens — comma-separated tokens from {ltr,
-  /// greedy, dp} (planner mode), {adjacency, hashjoin, cost-expand}
-  /// (this field) and {force-right, force-left, cost-direction}
-  /// (direction_policy), e.g.
-  /// `GQLITE_PLAN_MODE=dp,hashjoin,force-left`. The differential
-  /// harness uses it to run both sides of every cost-based choice; a
-  /// garbage token makes Database::Open/OpenInMemory fail.
+  /// side (kHashJoin is the E14 join-expand baseline). The forced-plan
+  /// differential harness sets it to run both sides of every cost-based
+  /// choice.
   ExpandStrategy expand_strategy = ExpandStrategy::kCost;
-  /// Chain anchor/traversal-direction choice: kCost searches by
-  /// estimated cost, the forced values pin an end (see expand_strategy
-  /// for the GQLITE_PLAN_MODE override).
+  /// Chain anchor/traversal-direction choice: kCost anchors at the
+  /// cheapest scan, the forced values pin an end (kForceRight with
+  /// kAdjacency is the naive left-to-right plan).
   DirectionPolicy direction_policy = DirectionPolicy::kCost;
   /// Seed for rand() (deterministic runs).
   uint64_t rand_seed = 0x5EEDC0FFEEULL;
@@ -287,10 +280,9 @@ class CypherEngine {
 
   // ---- Internals --------------------------------------------------------
 
-  /// Applies the GQLITE_BATCH_SIZE / GQLITE_THREADS / GQLITE_PLAN_MODE
-  /// environment overrides and clamps programmatic values. Database
-  /// calls it before it touches storage, so a garbage override fails the
-  /// open.
+  /// Applies the GQLITE_BATCH_SIZE / GQLITE_THREADS environment
+  /// overrides and clamps programmatic values. Database calls it before
+  /// it touches storage, so a garbage override fails the open.
   static Status ApplyEnvOverrides(EngineOptions* options);
   /// Creates the fixed worker pool (num_threads - 1 threads) on first
   /// use.

@@ -13,15 +13,13 @@ namespace gqlite {
 /// Physical-operator override for each hop of a chain. kCost picks the
 /// cheaper of adjacency Expand and relationship-store HashJoinExpand per
 /// step; the forced values pin one side so the differential harness can
-/// exercise both regardless of what the statistics prefer
-/// (GQLITE_PLAN_MODE tokens `adjacency` / `hashjoin` / `cost-expand`).
+/// exercise both regardless of what the statistics prefer.
 enum class ExpandStrategy { kCost, kAdjacency, kHashJoin };
 
-/// Expand-direction override. kCost searches anchors/interleavings by
-/// estimated cost; kForceRight anchors at the chain's first node and
-/// expands left-to-right, kForceLeft anchors at the last node and
-/// expands right-to-left (GQLITE_PLAN_MODE tokens `force-right` /
-/// `force-left` / `cost-direction`).
+/// Expand-direction override. kCost anchors at the cheapest scan and
+/// expands the cheaper frontier first; kForceRight anchors at the
+/// chain's first node and expands left-to-right, kForceLeft anchors at
+/// the last node and expands right-to-left.
 enum class DirectionPolicy { kCost, kForceRight, kForceLeft };
 
 /// A node's local constraints in copyable form (ast::NodePattern holds
@@ -48,19 +46,9 @@ class CostModel {
  public:
   explicit CostModel(const GraphStatistics& stats) : stats_(stats) {}
 
-  /// Fraction of all nodes satisfying the constraints: product of label
-  /// fractions times 1/NDV per equality-constrained property (0.1 per
-  /// property when the key has no sketch).
-  double NodeSelectivity(const NodeConstraint& nc) const;
-
   /// Estimated rows from scanning candidates for the constraints:
   /// NodeCount() * NodeSelectivity.
   double ScanCardinality(const NodeConstraint& nc) const;
-  double ScanCardinality(const ast::NodePattern& np) const;
-
-  /// NodeSelectivity over a raw pattern node (labels + inline property
-  /// map) — identical formula to ScanCardinality / NodeCount().
-  double NodeFilterSelectivity(const ast::NodePattern& np) const;
 
   /// Estimated fan-out of one hop per input row, DIRECTIONAL: the typed
   /// degree in the actual traversal direction, conditioned on the
@@ -74,38 +62,28 @@ class CostModel {
   double ExpandFactor(const ast::RelPattern& rp, bool reversed,
                       const NodeConstraint& from) const;
 
-  /// Rows scanned per input row by an adjacency ExpandOp for this hop:
-  /// the UNTYPED fan in the scanned direction(s) — the operator walks
-  /// the whole adjacency list and filters by type.
-  double AdjacencyScanFan(const ast::RelPattern& rp, bool reversed,
-                          const NodeConstraint& from) const;
-
   /// One planned step of a chain: which hop, which direction it is
-  /// traversed, which physical operator, and the estimated rows after
-  /// the step (surfaced as `est. rows` in EXPLAIN).
+  /// traversed, and which physical operator runs it.
   struct ChainStep {
     size_t hop = 0;
     bool to_right = true;
     bool hash_join = false;
-    double out_rows = 1;
   };
   struct ChainDecision {
     size_t anchor = 0;
-    double anchor_rows = 1;  // rows after the anchor's filters
-    double cost = 0;
     std::vector<ChainStep> steps;  // in emission order
   };
 
-  /// Full chain planning: for every admissible anchor (restricted by
-  /// `direction`), an exact interval DP over interleavings — the state
-  /// is the contiguous expanded interval around the anchor, each
-  /// transition extends it one hop left or right and pays the cheaper
-  /// (or forced) operator's cost: adjacency ≈ rows_in * scan_fan +
-  /// rows_out, hash join ≈ RelCount + rows_in + rows_out. Chains are
-  /// exactly the shape where this search is optimal under the model —
-  /// the IDP chain specialization the paper cites. `nodes` carries the
-  /// augmented constraints per chain position (size hops+1), `bound`
-  /// marks positions already bound by the driving table.
+  /// Plans a path chain: anchor, per-hop direction and per-hop physical
+  /// operator. The anchor is a position already bound by the driving
+  /// table or else the cheapest scan (the first one on a tie), unless
+  /// `direction` pins an end. From the anchor the chain grows one hop
+  /// at a time on the frontier with the smaller directional fan (right
+  /// on a tie). Each hop takes the cheaper operator unless `strategy`
+  /// forces one: adjacency Expand ≈ rows_in * scan_fan + rows_out, hash
+  /// join ≈ RelCount + rows_in + rows_out; var-length hops always use
+  /// adjacency. `nodes` carries the augmented constraints per chain
+  /// position (size hops+1), `bound` marks the bound positions.
   ChainDecision DecideChain(const ast::PathPattern& path,
                             const std::vector<NodeConstraint>& nodes,
                             const std::vector<bool>& bound,
@@ -113,6 +91,15 @@ class CostModel {
                             DirectionPolicy direction) const;
 
  private:
+  /// Fraction of all nodes satisfying the constraints: product of label
+  /// fractions times 1/NDV per equality-constrained property (0.1 per
+  /// property when the key has no sketch).
+  double NodeSelectivity(const NodeConstraint& nc) const;
+  /// Rows scanned per input row by an adjacency ExpandOp for this hop:
+  /// the UNTYPED fan in the scanned direction(s) — the operator walks
+  /// the whole adjacency list and filters by type.
+  double AdjacencyScanFan(const ast::RelPattern& rp, bool reversed,
+                          const NodeConstraint& from) const;
   /// Typed directional fan of the hop (no var-length amplification).
   double HopFan(const ast::RelPattern& rp, bool reversed,
                 const NodeConstraint& from) const;

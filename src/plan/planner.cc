@@ -402,97 +402,6 @@ void AugmentFromWhere(const std::vector<const Expr*>& conjuncts,
   }
 }
 
-/// Greedy chain decision (kGreedy, and the kLeftToRight baseline with a
-/// forced anchor): anchor at a bound node or the cheapest scan, then
-/// expand whichever frontier has the smaller fan, choosing the per-hop
-/// physical operator by comparing the adjacency scan against the
-/// relationship-store hash-join build (unless `strategy` forces a side).
-CostModel::ChainDecision GreedyDecision(
-    const PathPattern& path, const std::vector<NodeConstraint>& nodes,
-    const std::vector<bool>& bound, ExpandStrategy strategy,
-    DirectionPolicy direction, const CostModel& cost,
-    const GraphStatistics& stats) {
-  size_t n = nodes.size();
-  CostModel::ChainDecision d;
-  if (direction == DirectionPolicy::kForceRight) {
-    d.anchor = 0;
-  } else if (direction == DirectionPolicy::kForceLeft) {
-    d.anchor = n - 1;
-  } else {
-    double best = -1;
-    for (size_t i = 0; i < n; ++i) {
-      double c = bound[i] ? 0.0 : cost.ScanCardinality(nodes[i]);
-      if (best < 0 || c < best) {
-        best = c;
-        d.anchor = i;
-      }
-    }
-  }
-  double node_n = std::max<double>(stats.NodeCount(), 1.0);
-  double rows = bound[d.anchor]
-                    ? 1.0
-                    : std::max(cost.ScanCardinality(nodes[d.anchor]), 0.001);
-  d.anchor_rows = rows;
-  d.cost = rows;
-  size_t right = d.anchor;
-  size_t left = d.anchor;
-  while (right + 1 < n || left > 0) {
-    bool can_right = right + 1 < n;
-    bool can_left = left > 0;
-    bool go_right;
-    if (can_right && can_left) {
-      double fr =
-          cost.ExpandFactor(path.hops[right].rel, false, nodes[right]);
-      double fl =
-          cost.ExpandFactor(path.hops[left - 1].rel, true, nodes[left]);
-      go_right = fr <= fl;
-    } else {
-      go_right = can_right;
-    }
-    CostModel::ChainStep s;
-    s.hop = go_right ? right : left - 1;
-    s.to_right = go_right;
-    const RelPattern& rp = path.hops[s.hop].rel;
-    size_t from_i = go_right ? right : left;
-    size_t to_i = go_right ? right + 1 : left - 1;
-    double fan = cost.ExpandFactor(rp, !go_right, nodes[from_i]);
-    double out = bound[to_i] ? rows * fan / node_n
-                             : rows * fan * cost.NodeSelectivity(nodes[to_i]);
-    out = std::max(out, 0.001);
-    double adj =
-        rows * cost.AdjacencyScanFan(rp, !go_right, nodes[from_i]) + out;
-    double join = static_cast<double>(stats.RelCount()) + rows + out;
-    if (rp.length) {
-      s.hash_join = false;  // var-length is always the adjacency walk
-      d.cost += adj;
-    } else {
-      switch (strategy) {
-        case ExpandStrategy::kAdjacency:
-          s.hash_join = false;
-          d.cost += adj;
-          break;
-        case ExpandStrategy::kHashJoin:
-          s.hash_join = true;
-          d.cost += join;
-          break;
-        case ExpandStrategy::kCost:
-          s.hash_join = join < adj;
-          d.cost += s.hash_join ? join : adj;
-          break;
-      }
-    }
-    s.out_rows = out;
-    d.steps.push_back(s);
-    rows = out;
-    if (go_right) {
-      ++right;
-    } else {
-      --left;
-    }
-  }
-  return d;
-}
-
 }  // namespace
 
 void Planner::PlaceReadyFilters(PipelineState* state, ExecContext* ctx,
@@ -567,35 +476,11 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
 
   std::set<std::string> rel_vars(rel_cols.begin(), rel_cols.end());
 
-  ExpandStrategy strategy = options_.expand_strategy;
-  DirectionPolicy dirpol = options_.direction_policy;
-
   // Decide the whole chain up front: anchor, per-hop direction, and
   // per-hop physical operator.
-  CostModel::ChainDecision decision;
-  switch (options_.mode) {
-    case PlannerOptions::Mode::kLeftToRight: {
-      // Naive baseline: first node, left to right, adjacency expands —
-      // explicit overrides still pin their side.
-      ExpandStrategy s = strategy == ExpandStrategy::kCost
-                             ? ExpandStrategy::kAdjacency
-                             : strategy;
-      DirectionPolicy dp = dirpol == DirectionPolicy::kCost
-                               ? DirectionPolicy::kForceRight
-                               : dirpol;
-      decision = GreedyDecision(path, constraints, node_bound, s, dp, cost,
-                                stats);
-      break;
-    }
-    case PlannerOptions::Mode::kGreedy:
-      decision = GreedyDecision(path, constraints, node_bound, strategy,
-                                dirpol, cost, stats);
-      break;
-    case PlannerOptions::Mode::kDpStarts:
-      decision =
-          cost.DecideChain(path, constraints, node_bound, strategy, dirpol);
-      break;
-  }
+  CostModel::ChainDecision decision =
+      cost.DecideChain(path, constraints, node_bound,
+                       options_.expand_strategy, options_.direction_policy);
   size_t anchor = decision.anchor;
 
   // Constraint helpers: synthesized filters are owned by the plan.

@@ -12,19 +12,9 @@
 
 namespace gqlite {
 
-/// Planner configuration. The three modes ablate pattern ordering
-/// (experiment E15):
-///  * kLeftToRight — anchor every path at its syntactically first node and
-///    expand left to right (no cost model; the "naive" baseline);
-///  * kGreedy — anchor at the cheapest position by estimated cardinality
-///    and expand the cheaper frontier first;
-///  * kDpStarts — exhaustively cost every anchor position per path chain
-///    and pick the optimum. For chain-shaped patterns (Cypher path
-///    patterns are chains) this search is exact under the cost model —
-///    the chain specialization of the IDP join-ordering the paper cites.
+/// Planner configuration. Every path chain is planned by
+/// CostModel::DecideChain; the two overrides below pin its choices.
 struct PlannerOptions {
-  enum class Mode { kGreedy, kLeftToRight, kDpStarts };
-  Mode mode = Mode::kGreedy;
   /// Per-hop physical-operator choice: kCost compares the adjacency
   /// Expand against the relationship-store hash join per step; the
   /// forced values pin one side (differential-harness override;

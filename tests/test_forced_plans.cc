@@ -2,19 +2,18 @@
 // side of every choice the cost model makes (adjacency Expand vs
 // relationship-store HashJoinExpand per hop, left-to-right vs
 // right-to-left chain direction) must produce the SAME bag of rows. The
-// harness generates seeded chain-shaped queries — the shapes where the
-// planner's DecideChain search actually has choices — and pins every
-// forced configuration, across the serial batched (morsel 1 and 1024)
-// and parallel (1, 2 and 4 worker) executor legs, to the reference
-// interpreter. A cost model that merely picks SLOW plans is a perf bug;
-// one whose alternatives disagree is a correctness bug, and this is the
-// test that catches it.
+// harness generates seeded chain-shaped queries — the shapes where
+// CostModel::DecideChain actually has choices — and pins every forced
+// corner (set through EngineOptions::expand_strategy and
+// direction_policy) plus the cost-based default, across the serial
+// batched (morsel 1 and 1024) and parallel (1, 2 and 4 worker) executor
+// legs, to the reference interpreter. A cost model that merely picks
+// SLOW plans is a perf bug; one whose alternatives disagree is a
+// correctness bug, and this is the test that catches it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -226,70 +225,6 @@ TEST(ForcedPlans, AllPlanAlternativesAgreeOnEveryExecutorLeg) {
     }
   }
   EXPECT_EQ(executed, kCases);
-}
-
-// ---- GQLITE_PLAN_MODE parsing ----------------------------------------------
-
-/// Same scoped-env helper as test_engine.cc (anonymous namespaces keep
-/// the two definitions from colliding).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = getenv(name);
-    if (old != nullptr) saved_ = old;
-    if (value != nullptr) {
-      setenv(name, value, /*overwrite=*/1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      setenv(name_, saved_->c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
-
-TEST(PlanModeEnv, TokensApplyOverProgrammaticOptions) {
-  ScopedEnv env("GQLITE_PLAN_MODE", "hashjoin,force-left,greedy");
-  EngineOptions opts;
-  opts.expand_strategy = ExpandStrategy::kAdjacency;  // overridden
-  Database db = testutil::OpenOn(nullptr, opts);
-  const EngineOptions& applied = db.engine().options();
-  EXPECT_EQ(applied.expand_strategy, ExpandStrategy::kHashJoin);
-  EXPECT_EQ(applied.direction_policy, DirectionPolicy::kForceLeft);
-  EXPECT_EQ(applied.planner, PlannerOptions::Mode::kGreedy);
-  EXPECT_TRUE(db.Execute("RETURN 1 AS one").ok());
-}
-
-TEST(PlanModeEnv, CostTokensRestoreTheDefaults) {
-  ScopedEnv env("GQLITE_PLAN_MODE", "cost-expand,cost-direction,dp");
-  EngineOptions opts;
-  opts.expand_strategy = ExpandStrategy::kHashJoin;
-  opts.direction_policy = DirectionPolicy::kForceRight;
-  Database db = testutil::OpenOn(nullptr, opts);
-  const EngineOptions& applied = db.engine().options();
-  EXPECT_EQ(applied.expand_strategy, ExpandStrategy::kCost);
-  EXPECT_EQ(applied.direction_policy, DirectionPolicy::kCost);
-  EXPECT_EQ(applied.planner, PlannerOptions::Mode::kDpStarts);
-}
-
-TEST(PlanModeEnv, UnknownTokenIsAClearErrorNotAClamp) {
-  for (const char* garbage : {"fastest", "hash join", "adjacency,", ",",
-                              "adjacency;hashjoin", "FORCE-LEFT"}) {
-    ScopedEnv env("GQLITE_PLAN_MODE", garbage);
-    auto db = Database::OpenInMemory();
-    ASSERT_FALSE(db.ok()) << "accepted GQLITE_PLAN_MODE=" << garbage;
-    EXPECT_NE(db.status().ToString().find("GQLITE_PLAN_MODE"),
-              std::string::npos)
-        << db.status().ToString();
-  }
 }
 
 }  // namespace

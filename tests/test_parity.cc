@@ -1,9 +1,10 @@
 // Property/parity tests (DESIGN.md §7): the reference interpreter (the
 // paper's formal semantics, §4) and the Volcano runtime (§2 "Neo4j
 // implementation") must produce identical result *bags* on a corpus of
-// read queries over randomized graphs — and all planner modes must agree
-// with each other ("implementations are free to re-order the execution of
-// clauses if this does not change the semantics of the query", §2).
+// read queries over randomized graphs — and the cost planner's plans must
+// agree with forced anchors ("implementations are free to re-order the
+// execution of clauses if this does not change the semantics of the
+// query", §2).
 
 #include <gtest/gtest.h>
 
@@ -92,16 +93,31 @@ Result<Table> PlanAndDrain(const GraphPtr& graph, const ast::Query& q,
 }
 
 Result<Table> RunVolcano(GraphPtr graph, const std::string& query,
-                         PlannerOptions::Mode mode,
-                         ExpandStrategy expand = ExpandStrategy::kCost) {
+                         ExpandStrategy expand = ExpandStrategy::kCost,
+                         DirectionPolicy direction = DirectionPolicy::kCost) {
   GQL_ASSIGN_OR_RETURN(ast::Query q, ParseQuery(query));
   GQL_ASSIGN_OR_RETURN(QueryInfo info, Analyze(q));
   (void)info;
   PlannerOptions opts;
-  opts.mode = mode;
   opts.expand_strategy = expand;
+  opts.direction_policy = direction;
   return PlanAndDrain(graph, q, opts, 0xC0FFEE);
 }
+
+/// The planner settings every corpus query runs under: the cost planner,
+/// the naive left-to-right plan, and an anchor forced to the chain's
+/// last node.
+struct PlannerSetting {
+  const char* name;
+  ExpandStrategy expand;
+  DirectionPolicy direction;
+};
+const PlannerSetting kPlannerSettings[] = {
+    {"cost", ExpandStrategy::kCost, DirectionPolicy::kCost},
+    {"left-to-right", ExpandStrategy::kAdjacency,
+     DirectionPolicy::kForceRight},
+    {"force-left", ExpandStrategy::kCost, DirectionPolicy::kForceLeft},
+};
 
 class ParityTest : public ::testing::TestWithParam<const char*> {};
 
@@ -112,21 +128,18 @@ TEST_P(ParityTest, InterpreterVsVolcanoOnRandomGraphs) {
     auto reference = testutil::RunInterp(g, query);
     ASSERT_TRUE(reference.ok())
         << query << "\n  " << reference.status().ToString();
-    for (auto mode : {PlannerOptions::Mode::kGreedy,
-                      PlannerOptions::Mode::kLeftToRight,
-                      PlannerOptions::Mode::kDpStarts}) {
-      auto planned = RunVolcano(g, query, mode);
+    for (const PlannerSetting& setting : kPlannerSettings) {
+      auto planned = RunVolcano(g, query, setting.expand, setting.direction);
       ASSERT_TRUE(planned.ok())
           << query << "\n  " << planned.status().ToString();
       EXPECT_TRUE(reference->SameBag(*planned))
-          << "seed " << seed << " mode " << static_cast<int>(mode)
+          << "seed " << seed << " planner " << setting.name
           << "\nquery: " << query << "\ninterpreter:\n"
           << reference->ToString() << "volcano:\n" << planned->ToString();
     }
     // The hash-join expand baseline must also agree (E14 is about speed,
     // not results).
-    auto joined = RunVolcano(g, query, PlannerOptions::Mode::kGreedy,
-                             ExpandStrategy::kHashJoin);
+    auto joined = RunVolcano(g, query, ExpandStrategy::kHashJoin);
     ASSERT_TRUE(joined.ok()) << query << "\n  " << joined.status().ToString();
     EXPECT_TRUE(reference->SameBag(*joined)) << query;
   }
@@ -150,7 +163,7 @@ TEST(ParityDense, CliqueAndGrid) {
     for (const char* q : queries) {
       auto reference = testutil::RunInterp(g, q);
       ASSERT_TRUE(reference.ok()) << q;
-      auto planned = RunVolcano(g, q, PlannerOptions::Mode::kGreedy);
+      auto planned = RunVolcano(g, q);
       ASSERT_TRUE(planned.ok()) << q << planned.status().ToString();
       EXPECT_TRUE(reference->SameBag(*planned))
           << q << "\ninterp:\n" << reference->ToString() << "volcano:\n"

@@ -86,8 +86,8 @@ TEST(PlanShapes, FanOutFrontierPicksHashJoin) {
   // The hash join builds over the WHOLE relationship store, so it only
   // wins once the frontier outgrows the node count: after the :X fan-out
   // the frontier is ~2000 rows, and an adjacency expand of the :T hop
-  // would rescan ~50 noisy edges per row. Direction is pinned so the DP
-  // can't sidestep the scenario by walking the chain backwards.
+  // would rescan ~50 noisy edges per row. Direction is pinned so the
+  // planner can't sidestep the scenario by walking the chain backwards.
   EngineOptions opts;
   opts.direction_policy = DirectionPolicy::kForceRight;
   Database db = MakeNoisyAdjacencyDatabase(std::move(opts));
@@ -138,6 +138,49 @@ TEST(PlanShapes, VarLengthKeepsAdjacencyUnderForcedHashJoin) {
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE(e->find("VarLengthExpand"), std::string::npos) << *e;
   EXPECT_EQ(e->find("HashJoinExpand"), std::string::npos) << *e;
+}
+
+/// A symmetric :L-[:T]->:L graph whose :L nodes also have untyped :U
+/// out-edges, so an adjacency walk from `a` scans more entries than one
+/// from `b`. A search that ranked anchors by expand cost alone, blind to
+/// WHERE range predicates, would anchor at `b`.
+Database MakeSymmetricRangeDatabase() {
+  auto g = std::make_shared<PropertyGraph>();
+  std::vector<NodeId> ls;
+  for (int i = 0; i < 40; ++i) {
+    ls.push_back(g->CreateNode({"L"}, {{"x", Value::Int(i)}}));
+  }
+  std::vector<NodeId> ms;
+  for (int i = 0; i < 10; ++i) ms.push_back(g->CreateNode({"M"}, {}));
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_TRUE(g->CreateRelationship(ls[i], ls[(i + 1) % 40], "T", {}).ok());
+    EXPECT_TRUE(g->CreateRelationship(ls[i], ls[(i + 3) % 40], "T", {}).ok());
+    for (int u = 0; u < 3; ++u) {
+      EXPECT_TRUE(
+          g->CreateRelationship(ls[i], ms[(i + u) % 10], "U", {}).ok());
+    }
+  }
+  return testutil::OpenOn(g, EngineOptions{});
+}
+
+TEST(PlanShapes, RangeFilteredSideOfASymmetricPatternIsTheAnchor) {
+  // The analytic distinct-friends read has this shape: the range on
+  // a.x is the only selective predicate, so the plan anchors at `a` and
+  // applies both range Filters before expanding.
+  Database db = MakeSymmetricRangeDatabase();
+  auto e = db.Explain(
+      "MATCH (a:L)-[:T]->(b:L) WHERE a.x >= $lo AND a.x < $hi RETURN b.x",
+      {{"lo", Value::Int(4)}, {"hi", Value::Int(8)}});
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  size_t expand = e->find("Expand(a->:T->b)");
+  ASSERT_NE(expand, std::string::npos) << *e;
+  std::string below = e->substr(expand);
+  size_t first = below.find("Filter");
+  ASSERT_NE(first, std::string::npos) << *e;
+  size_t second = below.find("Filter", first + 1);
+  ASSERT_NE(second, std::string::npos) << *e;
+  EXPECT_NE(below.find("NodeByLabelScan(a:L)", second), std::string::npos)
+      << *e;
 }
 
 }  // namespace
