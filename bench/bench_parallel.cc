@@ -1,7 +1,7 @@
 // Morsel-driven parallel execution at 1/2/4 workers on the fan-out
 // social graph: scan+filter, two-hop expand, global aggregation, and
-// the parallel pipeline breakers (ORDER BY merge sort, partitioned
-// many-group aggregation, partitioned DISTINCT) — the plan shapes the
+// the parallel pipeline breakers (ORDER BY merge sort, many-group
+// aggregation merge, partitioned DISTINCT) — the plan shapes the
 // parallel runtime targets. The thread count is the benchmark argument
 // (BM_Parallel*/T), so scaling is read straight off the report; on a
 // multi-core machine the 4-worker rows should run >= 1.5x faster than
@@ -78,13 +78,14 @@ BENCHMARK(BM_ParallelGlobalAgg)->Arg(1)->Arg(2)->Arg(4);
 
 // ---- Parallel pipeline breakers --------------------------------------------
 // These queries end in a breaker, so the merge stage — not the scan — is
-// where the serial engine used to spend its single-threaded time: the
-// local sorts + pairwise merge tree (ORDER BY), the per-partition
-// MergeFrom chains (many-group aggregation), and the partitioned
-// seen-sets (DISTINCT) are what /2 and /4 measure.
+// where the serial engine used to spend its single-threaded time. /2 and
+// /4 measure the per-worker local sorts plus the serial merge of their
+// runs (ORDER BY), the per-range partial aggregates plus their fold in
+// range order (many-group aggregation), and the partitioned seen-sets
+// (DISTINCT).
 
 // No LIMIT: the full result survives, so this measures the local sorts
-// plus the pairwise parallel merge tree end to end.
+// plus the serial pairwise merge of the runs end to end.
 constexpr const char* kOrderBy =
     "MATCH (a:Person)-[:FRIEND]->(b) "
     "RETURN a.name AS x, b.name AS y ORDER BY x, y";
@@ -101,8 +102,9 @@ constexpr const char* kOrderByTopK =
 void BM_ParallelOrderByTopK(benchmark::State& s) { RunQuery(s, kOrderByTopK); }
 BENCHMARK(BM_ParallelOrderByTopK)->Arg(1)->Arg(2)->Arg(4);
 
-// ~2048 distinct group keys: the partitioned merge dominates, and the
-// row count doubles as the check value (one row per group).
+// ~2048 distinct group keys: the fold of the per-range partials
+// dominates, and the row count doubles as the check value (one row per
+// group).
 constexpr const char* kManyGroupAgg =
     "MATCH (a:Person)-[:FRIEND]->(b) "
     "RETURN a.name AS g, count(*) AS c, min(b.name) AS mn";

@@ -55,10 +55,9 @@ void PrintStats(Database& db) {
   const auto& par = engine.parallel_stats();
   std::cout << "parallel: " << engine.options().num_threads << " workers, "
             << par.queries << " parallel queries, " << par.morsels
-            << " scan morsels dispatched, " << par.merge_tasks
-            << " merge tasks\n";
+            << " scan morsels dispatched\n";
   std::cout << "parallel merges: " << par.sort_merges << " sort, "
-            << par.agg_merges << " partitioned aggregation, "
+            << par.agg_merges << " aggregation, "
             << par.distinct_merges << " partitioned DISTINCT\n";
   if (!par.serial_reasons.empty()) {
     std::cout << "serial fallbacks:\n";

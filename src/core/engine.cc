@@ -141,9 +141,8 @@ Result<Table> CypherEngine::RunPlan(Plan* plan, WorkerPool* pool,
   if (prun->workers > 0) {
     ++parallel_stats_.queries;
     parallel_stats_.morsels += prun->morsels;
-    parallel_stats_.merge_tasks += prun->merge_tasks;
     if (prun->sort_merge) ++parallel_stats_.sort_merges;
-    if (prun->partitioned_agg) ++parallel_stats_.agg_merges;
+    if (prun->agg_merge) ++parallel_stats_.agg_merges;
     if (prun->partitioned_distinct) ++parallel_stats_.distinct_merges;
   }
   if (pool != nullptr && !parallel && !plan->parallel.reason.empty()) {
@@ -514,7 +513,6 @@ Result<std::string> CypherEngine::Profile(std::string_view query,
     }
     head = "Parallel: " + std::to_string(prun.workers) + " workers, " +
            std::to_string(prun.morsels) + " morsels dispatched, " +
-           std::to_string(prun.merge_tasks) + " merge tasks, " +
            plan.parallel.merge_shape +
            " (the merge-point projection runs in the merge stage; its "
            "tree counters stay 0)\n";

@@ -196,11 +196,10 @@ class CypherEngine {
   struct ParallelStats {
     uint64_t queries = 0;  // executions that ran on the parallel runtime
     uint64_t morsels = 0;  // scan morsels dispatched across them
-    /// Pool tasks run by merge stages (pairwise sort merges + per-
-    /// partition aggregation/DISTINCT merges) across those executions.
-    uint64_t merge_tasks = 0;
+    /// Executions per merge stage; agg_merges counts every parallel
+    /// aggregation, keyed or keyless.
     uint64_t sort_merges = 0;      // executions using parallel merge sort
-    uint64_t agg_merges = 0;       // ... partitioned aggregation merge
+    uint64_t agg_merges = 0;       // ... aggregation merge
     uint64_t distinct_merges = 0;  // ... partitioned DISTINCT merge
     /// Serial fallbacks of parallel-eligible executions (num_threads > 1),
     /// keyed by the AnalyzeParallelCandidate reason. EXPLAIN shows the

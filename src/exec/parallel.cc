@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 #include <utility>
@@ -193,24 +192,11 @@ bool BodyBreaks(const ast::ProjectionBody& b) {
          b.skip != nullptr || b.limit != nullptr;
 }
 
-/// Mirrors AggregationState::has_keys() (any non-aggregating item,
-/// `*`-expanded input fields included) for the EXPLAIN shape string.
-bool AggBodyHasKeys(const ast::ProjectionBody& b) {
-  if (b.star) return true;
-  for (const auto& item : b.items) {
-    if (!ContainsAggregate(*item.expr)) return true;
-  }
-  return false;
-}
-
 std::string MergeShape(const ast::ProjectionBody& b) {
-  if (ProjectionAggregates(b)) {
-    return AggBodyHasKeys(b) ? "partitioned aggregation merge"
-                             : "global aggregation fold";
-  }
+  if (ProjectionAggregates(b)) return "aggregation merge";
   if (b.distinct) {
     return b.order_by.empty() ? "partitioned DISTINCT merge"
-                              : "partitioned DISTINCT + parallel merge sort";
+                              : "partitioned DISTINCT merge + sort";
   }
   if (!b.order_by.empty()) return "parallel merge sort";
   return "concat merge";
@@ -219,8 +205,8 @@ std::string MergeShape(const ast::ProjectionBody& b) {
 /// One projected row in a sorted run: its ORDER BY key row plus the
 /// (range, row-within-range) sequence that breaks ties on original scan
 /// order. The tie-break makes the comparator a STRICT total order, so
-/// every merge-tree shape — and top-K truncation — reproduces the serial
-/// std::stable_sort byte-for-byte.
+/// std::sort, the run merges and top-K truncation all reproduce the
+/// serial std::stable_sort byte-for-byte.
 struct SortRow {
   ValueList row;
   ValueList keys;
@@ -253,26 +239,22 @@ SortedRun MergeSortedRuns(const ast::ProjectionBody& body, SortedRun a,
   return out;
 }
 
-/// Tree-structured pairwise merge on the pool, leaving one run. The
-/// pairing is deterministic, but under the strict total order ANY tree
-/// shape yields identical output — the determinism is belt-and-braces.
-Status TreeMergeRuns(WorkerPool* pool, const ast::ProjectionBody& body,
-                     std::vector<SortedRun>* runs, uint64_t topk,
-                     size_t* merge_tasks) {
-  while (runs->size() > 1) {
-    std::vector<SortedRun>& rs = *runs;
-    size_t pairs = rs.size() / 2;
-    std::vector<SortedRun> next(pairs + rs.size() % 2);
-    GQL_RETURN_IF_ERROR(pool->RunTasks(pairs, [&](size_t t) -> Status {
-      next[t] = MergeSortedRuns(body, std::move(rs[2 * t]),
-                                std::move(rs[2 * t + 1]), topk);
-      return Status::OK();
-    }));
-    if (rs.size() % 2 != 0) next[pairs] = std::move(rs.back());
-    *merge_tasks += pairs;
-    *runs = std::move(next);
+/// Pairwise merge rounds over the sorted runs, on the calling thread,
+/// leaving one run. Under the strict total order the pairing does not
+/// change the output; rounds keep the work at O(rows · log runs).
+SortedRun MergeRuns(const ast::ProjectionBody& body,
+                    std::vector<SortedRun> runs, uint64_t topk) {
+  while (runs.size() > 1) {
+    std::vector<SortedRun> next;
+    next.reserve((runs.size() + 1) / 2);
+    for (size_t i = 0; i + 1 < runs.size(); i += 2) {
+      next.push_back(MergeSortedRuns(body, std::move(runs[i]),
+                                     std::move(runs[i + 1]), topk));
+    }
+    if (runs.size() % 2 != 0) next.push_back(std::move(runs.back()));
+    runs = std::move(next);
   }
-  return Status::OK();
+  return runs.empty() ? SortedRun() : std::move(runs[0]);
 }
 
 /// Global (range, row-within-range) position of a projected row — the
@@ -472,7 +454,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
     return finish_above(std::move(merged));
   }
 
-  // Merge kinds, most specific first: keyed/keyless aggregation folds
+  // Merge kinds, most specific first: aggregation folds per-range
   // partials (pre-aggregation rows never materialize centrally);
   // DISTINCT partitions rows by whole-row hash; a bare ORDER BY builds
   // per-range sorted runs; everything else (plain projection, bare
@@ -482,16 +464,14 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   const bool distinct = !aggregates && body.distinct;
   const bool sort_only = !aggregates && !distinct && !body.order_by.empty();
   std::optional<AggregationState> proto;
-  bool agg_keyed = false;
   if (aggregates) {
     // One shared plan (the Shape is immutable); workers Fork() it.
     GQL_ASSIGN_OR_RETURN(
         AggregationState planned,
         AggregationState::Plan(body, merge_proj->child()->schema()));
-    agg_keyed = planned.has_keys();
     proto.emplace(std::move(planned));
   }
-  const size_t partitions = workers;  // radix width of the keyed merges
+  const size_t partitions = workers;  // radix width of the DISTINCT merge
 
   // SKIP/LIMIT under ORDER BY push a top-K bound into the local sorts
   // and run merges: rows past skip+limit can never surface, and the
@@ -518,10 +498,8 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   // [range][partition] -> projected-row indices, in row order.
   std::vector<std::vector<std::vector<uint64_t>>> range_parts(
       distinct ? num_morsels : 0);
-  std::vector<std::unique_ptr<AggregationState>> range_aggs(
-      aggregates && !agg_keyed ? num_morsels : 0);
-  std::vector<std::unique_ptr<PartitionedAggregationState>> range_pagg(
-      aggregates && agg_keyed ? num_morsels : 0);
+  std::vector<std::optional<AggregationState>> range_aggs(
+      aggregates ? num_morsels : 0);
 
   std::vector<Status> range_status(num_morsels, Status::OK());
   std::vector<BatchStats> worker_stats(instances);
@@ -541,39 +519,18 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
           // Stream the range's morsels straight into the partial state:
           // the pre-aggregation rows never materialize, so a range's
           // working memory is one RowBatch, not its whole row count.
-          // Every row stamps its global (range, row) position onto any
-          // group it creates — the merge interleave's sort key.
-          std::unique_ptr<AggregationState> st;
-          std::unique_ptr<PartitionedAggregationState> pst;
-          if (agg_keyed) {
-            pst = std::make_unique<PartitionedAggregationState>(*proto,
-                                                                partitions);
-          } else {
-            st = std::make_unique<AggregationState>(proto->Fork());
-          }
+          AggregationState st = proto->Fork();
           RowBatch batch(batch_size);
-          uint64_t row_in_range = 0;
           while (true) {
             GQL_ASSIGN_OR_RETURN(bool ok, root->NextBatch(&batch));
             if (!ok) break;
             ++worker_stats[w].batches;
             worker_stats[w].rows += static_cast<int64_t>(batch.size());
             for (size_t i = 0; i < batch.size(); ++i) {
-              GroupStamp stamp{morsel.index, row_in_range++};
-              if (agg_keyed) {
-                GQL_RETURN_IF_ERROR(
-                    pst->AccumulateRow(batch.row(i), eval, stamp));
-              } else {
-                GQL_RETURN_IF_ERROR(
-                    st->AccumulateRow(batch.row(i), eval, stamp));
-              }
+              GQL_RETURN_IF_ERROR(st.AccumulateRow(batch.row(i), eval));
             }
           }
-          if (agg_keyed) {
-            range_pagg[morsel.index] = std::move(pst);
-          } else {
-            range_aggs[morsel.index] = std::move(st);
-          }
+          range_aggs[morsel.index] = std::move(st);
           return Status::OK();
         }
         GQL_ASSIGN_OR_RETURN(Table t,
@@ -633,12 +590,11 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
       stats->batches += ws.batches;
     }
   }
-  size_t merge_tasks = 0;
   if (pstats != nullptr) {
     pstats->workers = workers;
     pstats->morsels = num_morsels;
     pstats->sort_merge = sort_only || (distinct && !body.order_by.empty());
-    pstats->partitioned_agg = aggregates && agg_keyed;
+    pstats->agg_merge = aggregates;
     pstats->partitioned_distinct = distinct;
   }
   for (const Status& st : range_status) {
@@ -649,53 +605,11 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   // output — tail and WHERE filter included — byte-identical to
   // merge_proj->ProjectTable over the concatenated ranges.
   auto compute_merged = [&]() -> Result<Table> {
-    if (aggregates && agg_keyed) {
-      // `partitions` independent MergeFrom chains (range order within
-      // each) run as parallel tasks; the serial interleave on the
-      // recorded stamps then restores serial first-occurrence group
-      // order across partitions.
-      std::vector<Table> part_tables(partitions);
-      std::vector<std::vector<GroupStamp>> part_stamps(partitions);
-      // Named local: the lambda's own GQL_ macros would shadow an
-      // enclosing GQL_RETURN_IF_ERROR's temporary (-Wshadow).
-      Status merge_status =
-          pool->RunTasks(partitions, [&](size_t p) -> Status {
-            AggregationState merged_p = std::move(range_pagg[0]->partition(p));
-            for (size_t r = 1; r < num_morsels; ++r) {
-              GQL_RETURN_IF_ERROR(
-                  merged_p.MergeFrom(std::move(range_pagg[r]->partition(p))));
-            }
-            GQL_ASSIGN_OR_RETURN(part_tables[p],
-                                 merged_p.Finish(merge_eval, &part_stamps[p]));
-            return Status::OK();
-          });
-      GQL_RETURN_IF_ERROR(merge_status);
-      merge_tasks += partitions;
-      Table grouped(part_tables[0].fields());
-      std::vector<size_t> pos(partitions, 0);
-      while (true) {
-        size_t best = partitions;
-        for (size_t p = 0; p < partitions; ++p) {
-          if (pos[p] >= part_stamps[p].size()) continue;
-          if (best == partitions ||
-              part_stamps[p][pos[p]] < part_stamps[best][pos[best]]) {
-            best = p;
-          }
-        }
-        if (best == partitions) break;
-        grouped.AddRow(
-            std::move(part_tables[best].mutable_rows()[pos[best]]));
-        ++pos[best];
-      }
-      GQL_ASSIGN_OR_RETURN(
-          Table tailed, ApplyProjectionTail(body, std::move(grouped), nullptr,
-                                            nullptr, merge_eval));
-      return merge_proj->FilterWhere(std::move(tailed));
-    }
-
     if (aggregates) {
-      // Keyless: a single group per range — the direct-fold chain is
-      // O(1) per partial, so no partitioning is worth it.
+      // Fold the per-range partials in range order. MergeFrom appends
+      // groups new to the fold in their first-occurrence order and keeps
+      // the earlier representative of a known group, so the chain
+      // reproduces the serial group order and rows.
       AggregationState merged = std::move(*range_aggs[0]);
       for (size_t r = 1; r < num_morsels; ++r) {
         GQL_RETURN_IF_ERROR(merged.MergeFrom(std::move(*range_aggs[r])));
@@ -708,25 +622,24 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
     }
 
     if (distinct) {
-      // `partitions` independent seen-sets, each walking its share of
-      // every range in (range, row) order; the serial interleave of the
-      // survivors keeps the serial first occurrence of every distinct
-      // row.
+      // `partitions` independent seen-sets, one per worker, each walking
+      // its share of every range in (range, row) order; the serial
+      // interleave of the survivors keeps the serial first occurrence of
+      // every distinct row.
       std::vector<std::vector<RowSeq>> survivors(partitions);
-      GQL_RETURN_IF_ERROR(
-          pool->RunTasks(partitions, [&](size_t p) -> Status {
-            std::unordered_set<const ValueList*, RowPtrHash, RowPtrEq> seen;
-            for (size_t r = 0; r < num_morsels; ++r) {
-              const Table& t = range_proj[r];
-              for (uint64_t i : range_parts[r][p]) {
-                if (seen.insert(&t.rows()[i]).second) {
-                  survivors[p].push_back(RowSeq{r, i});
-                }
-              }
+      GQL_RETURN_IF_ERROR(pool->RunOnAll([&](size_t p) -> Status {
+        if (p >= partitions) return Status::OK();
+        std::unordered_set<const ValueList*, RowPtrHash, RowPtrEq> seen;
+        for (size_t r = 0; r < num_morsels; ++r) {
+          const Table& t = range_proj[r];
+          for (uint64_t i : range_parts[r][p]) {
+            if (seen.insert(&t.rows()[i]).second) {
+              survivors[p].push_back(RowSeq{r, i});
             }
-            return Status::OK();
-          }));
-      merge_tasks += partitions;
+          }
+        }
+        return Status::OK();
+      }));
       GQL_ASSIGN_OR_RETURN(
           Table shape,
           merge_proj->ProjectChunk(Table(merge_proj->child()->schema()),
@@ -749,45 +662,27 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
       }
 
       if (!body.order_by.empty()) {
-        // ORDER BY after DISTINCT reuses the merge-sort machinery: key
-        // and sort chunks of the deduped rows in parallel (the source
-        // pairing is gone after DISTINCT, exactly as in the serial
-        // tail), then tree-merge.
-        size_t n = deduped.NumRows();
-        size_t min_one = n == 0 ? 1 : n;
-        size_t chunks = partitions < min_one ? partitions : min_one;
-        size_t per = (n + chunks - 1) / chunks;
-        std::vector<SortedRun> runs(chunks);
-        GQL_RETURN_IF_ERROR(pool->RunTasks(chunks, [&](size_t c) -> Status {
-          size_t lo = c * per;
-          size_t hi = lo + per < n ? lo + per : n;
-          SortedRun run;
-          run.reserve(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            GQL_ASSIGN_OR_RETURN(
-                ValueList keys,
-                OrderKeysForRow(body, deduped, deduped.rows()[i], nullptr,
-                                nullptr, merge_eval));
-            run.push_back(SortRow{ValueList(), std::move(keys), 0, i});
-          }
-          std::sort(run.begin(), run.end(),
-                    [&body](const SortRow& a, const SortRow& b) {
-                      return SortRowLess(body, a, b);
-                    });
-          if (run.size() > topk) run.resize(static_cast<size_t>(topk));
-          // Rows move only for the survivors of the bound; every chunk
-          // touches a disjoint index range of `deduped`.
-          for (SortRow& sr : run) {
-            sr.row = std::move(deduped.mutable_rows()[sr.idx]);
-          }
-          runs[c] = std::move(run);
-          return Status::OK();
-        }));
-        merge_tasks += chunks;
-        GQL_RETURN_IF_ERROR(
-            TreeMergeRuns(pool, body, &runs, topk, &merge_tasks));
+        // ORDER BY after DISTINCT: key and sort the deduped rows once
+        // (the source pairing is gone after DISTINCT, exactly as in the
+        // serial tail). The row-position tie-break keeps the sort stable.
+        SortedRun run;
+        run.reserve(deduped.NumRows());
+        for (size_t i = 0; i < deduped.NumRows(); ++i) {
+          GQL_ASSIGN_OR_RETURN(
+              ValueList keys,
+              OrderKeysForRow(body, deduped, deduped.rows()[i], nullptr,
+                              nullptr, merge_eval));
+          run.push_back(SortRow{ValueList(), std::move(keys), 0, i});
+        }
+        std::sort(run.begin(), run.end(),
+                  [&body](const SortRow& a, const SortRow& b) {
+                    return SortRowLess(body, a, b);
+                  });
+        if (run.size() > topk) run.resize(static_cast<size_t>(topk));
         Table sorted(deduped.fields());
-        for (SortRow& sr : runs[0]) sorted.AddRow(std::move(sr.row));
+        for (const SortRow& sr : run) {
+          sorted.AddRow(std::move(deduped.mutable_rows()[sr.idx]));
+        }
         deduped = std::move(sorted);
       }
       GQL_ASSIGN_OR_RETURN(
@@ -796,15 +691,13 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
     }
 
     if (sort_only) {
-      std::vector<SortedRun> runs = std::move(range_runs);
-      GQL_RETURN_IF_ERROR(
-          TreeMergeRuns(pool, body, &runs, topk, &merge_tasks));
+      SortedRun run = MergeRuns(body, std::move(range_runs), topk);
       GQL_ASSIGN_OR_RETURN(
           Table shape,
           merge_proj->ProjectChunk(Table(merge_proj->child()->schema()),
                                    nullptr));
       Table sorted(shape.fields());
-      for (SortRow& sr : runs[0]) sorted.AddRow(std::move(sr.row));
+      for (SortRow& sr : run) sorted.AddRow(std::move(sr.row));
       GQL_ASSIGN_OR_RETURN(
           Table sliced, SliceSkipLimit(body, std::move(sorted), merge_eval));
       return merge_proj->FilterWhere(std::move(sliced));
@@ -820,7 +713,6 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   };
 
   GQL_ASSIGN_OR_RETURN(Table merged, compute_merged());
-  if (pstats != nullptr) pstats->merge_tasks = merge_tasks;
   return finish_above(std::move(merged));
 }
 

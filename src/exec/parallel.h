@@ -30,23 +30,21 @@ namespace gqlite {
 ///    resumes serially on the merged output (ProjectionOp::PreloadResult),
 ///    so an intermediate WITH breaker no longer forces the whole plan
 ///    serial.
-///  * The merge itself parallelizes per breaker kind, on the same pool
-///    (WorkerPool::RunTasks), always reproducing the serial output
-///    byte-for-byte:
-///      - ORDER BY: per-range local sorts ordered by (keys, range, row) —
-///        a STRICT total order, so the tree-structured pairwise run merge
-///        is shape-independent and reproduces std::stable_sort exactly;
+///  * The merge stage has one shape per breaker kind, always reproducing
+///    the serial output byte-for-byte:
+///      - ORDER BY: per-range local sorts on the workers, ordered by
+///        (keys, range, row) — a STRICT total order, so the serial
+///        pairwise merge of the runs reproduces std::stable_sort exactly;
 ///        SKIP/LIMIT push a top-K bound into the local sorts and merges.
-///      - keyed aggregation: rows hash-partition on their group key
-///        (RowHash — the group index's own equivalence-consistent hash),
-///        so the merge becomes independent per-partition MergeFrom chains;
-///        GroupStamps recorded at group creation let the final interleave
-///        restore serial first-occurrence group order. Keyless
-///        aggregation keeps the direct-fold chain (single group, O(1) per
-///        partial).
-///      - DISTINCT: the same key-partitioning over whole rows gives
-///        independent per-partition seen-sets; survivors interleave back
-///        by (range, row), keeping the serial first occurrence.
+///      - aggregation, keyed or keyless: each range accumulates into its
+///        own forked AggregationState, and the merge folds the partials
+///        with MergeFrom in range order. That order alone keeps the
+///        serial first-occurrence group order and representative rows.
+///      - DISTINCT: rows hash-partition on the whole row (RowHash — the
+///        equivalence-consistent hash of the seen-sets), so each worker
+///        runs one independent seen-set on the pool; survivors
+///        interleave back by (range, row), keeping the serial first
+///        occurrence. An ORDER BY above it sorts the deduped rows once.
 ///    One DELIBERATE semantic edge survives from the partial-aggregation
 ///    model: sum() over int64 adds in chunks, so a serial run whose
 ///    running sum overflows mid-stream (while the true total is
@@ -116,7 +114,7 @@ struct ParallelCandidate {
   ProjectionOp* projection = nullptr;
   PartitionedScan* scan = nullptr;
   /// Human-readable merge-stage shape ("parallel merge sort",
-  /// "partitioned aggregation merge", ...) for EXPLAIN/PROFILE.
+  /// "aggregation merge", ...) for EXPLAIN/PROFILE.
   std::string merge_shape;
   /// True when the merge point is an intermediate WITH (operators above
   /// it resume serially on the merged output).
@@ -133,20 +131,16 @@ bool QueryCallsNondeterministicFunction(const ast::Query& q);
 struct ParallelRunStats {
   size_t workers = 0;
   size_t morsels = 0;
-  /// Merge-stage tasks submitted to the pool (pairwise run merges,
-  /// per-partition aggregation/DISTINCT merges, chunk sorts).
-  size_t merge_tasks = 0;
   /// Which parallel merge stages this execution ran.
   bool sort_merge = false;
-  bool partitioned_agg = false;
+  bool agg_merge = false;
   bool partitioned_distinct = false;
 };
 
-/// Executes a parallel-safe plan (Plan::parallel.safe) on `pool` (workers
-/// = pool->size() + 1 including the calling thread; the plan must carry
-/// at least that many instances is NOT required — extra pool threads
-/// idle, extra instances go unused). `stats` accumulates rows/batches
-/// drained across all workers.
+/// Executes a parallel-safe plan (Plan::parallel.safe) on `pool`. The
+/// run uses min(pool->size() + 1, plan instances) workers, the calling
+/// thread included: extra pool threads idle and extra instances go
+/// unused. `stats` accumulates rows/batches drained across all workers.
 Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
                                   size_t batch_size,
                                   BatchStats* stats = nullptr,

@@ -48,30 +48,6 @@ void WorkerPool::WorkerLoop(size_t index) {
   }
 }
 
-Status WorkerPool::RunTasks(size_t num_tasks,
-                            const std::function<Status(size_t)>& fn) {
-  if (num_tasks == 0) return Status::OK();
-  // Task claiming and per-task statuses live outside the RunOnAll handoff
-  // state, so the implementation composes with the existing barrier: one
-  // job whose workers drain the task counter.
-  AtomicCounter next;
-  std::vector<Status> task_status(num_tasks, Status::OK());
-  Status run = RunOnAll([&](size_t) -> Status {
-    while (true) {
-      size_t t = next.FetchAdd(1);
-      if (t >= num_tasks) return Status::OK();
-      // Each slot is written by exactly the worker that claimed index t
-      // and read only after the RunOnAll barrier — no extra locking.
-      task_status[t] = fn(t);
-    }
-  });
-  GQL_RETURN_IF_ERROR(run);
-  for (Status& st : task_status) {
-    GQL_RETURN_IF_ERROR(std::move(st));
-  }
-  return Status::OK();
-}
-
 Status WorkerPool::RunOnAll(const std::function<Status(size_t)>& fn) {
   {
     MutexLock lock(&mu_);

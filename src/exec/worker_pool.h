@@ -13,12 +13,8 @@ namespace gqlite {
 
 /// A fixed pool of worker threads for morsel-driven parallel execution.
 /// The pool spawns its threads once and parks them between jobs, so a
-/// parallel query pays a wakeup, not a thread spawn. One job runs at a
-/// time (parallelism is intra-query): RunOnAll(fn) invokes
-/// `fn(worker_index)` on every pool thread (indices 1..size()) AND on the
-/// calling thread (index 0), returns after all complete, and reports the
-/// lowest-indexed worker's failure — a deterministic pick when several
-/// workers fail.
+/// parallel query pays a wakeup, not a thread spawn. One job, submitted
+/// with RunOnAll, runs at a time (parallelism is intra-query).
 ///
 /// Thread-safety: the job handoff is fully annotated (`mu_` guards every
 /// handoff field; Clang's -Wthread-safety proves the discipline).
@@ -44,18 +40,12 @@ class WorkerPool {
   /// the job on the calling thread only.
   void Shutdown() EXCLUDES(mu_);
 
+  /// The pool's only submission primitive: runs `fn(i)` once on each of
+  /// the size() + 1 workers, i = 0..size(), and returns after all have
+  /// finished. The calling thread is worker 0. When several calls fail,
+  /// the failure with the lowest index wins, so the reported error does
+  /// not depend on thread timing.
   Status RunOnAll(const std::function<Status(size_t)>& fn) EXCLUDES(mu_);
-
-  /// Runs `num_tasks` independent tasks across the pool (and the calling
-  /// thread): every worker claims task indices from a shared atomic
-  /// counter until the range is exhausted. This is the submission
-  /// primitive for parallel merge stages — pairwise sorted-run merges and
-  /// per-partition aggregation/DISTINCT merges — where the task count
-  /// comes from the data, not the worker count. Error reporting is
-  /// deterministic: the failure of the LOWEST task index wins, even
-  /// though the task-to-worker assignment is not deterministic.
-  Status RunTasks(size_t num_tasks,
-                  const std::function<Status(size_t)>& fn) EXCLUDES(mu_);
 
  private:
   void WorkerLoop(size_t index) EXCLUDES(mu_);

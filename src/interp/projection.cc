@@ -137,7 +137,6 @@ struct AggregationState::Impl {
     ValueList key;
     ValueList representative;
     std::vector<std::unique_ptr<Aggregator>> aggs;
-    GroupStamp stamp;  // global scan position of the creating row
   };
 
   std::shared_ptr<const Shape> shape;
@@ -159,13 +158,11 @@ struct AggregationState::Impl {
   }
 
   /// Builds the row's grouping key (the values of the non-aggregating
-  /// items) into `key`. Static so the partitioned wrapper can build the
-  /// key ONCE, route on its hash, and hand it to the owning partition.
-  static Status BuildKey(const Shape& shape, const ValueList& row,
-                         const Environment& env, const EvalContext& ctx,
-                         ValueList* key) {
+  /// items) into `key`.
+  Status BuildKey(const ValueList& row, const Environment& env,
+                  const EvalContext& ctx, ValueList* key) const {
     key->clear();
-    for (const auto& it : shape.items) {
+    for (const auto& it : shape->items) {
       if (it.aggregating) continue;
       if (it.expr == nullptr) {
         key->push_back(row[it.field_index]);
@@ -192,24 +189,6 @@ struct AggregationState::Impl {
       }
     }
     return Status::OK();
-  }
-
-  /// Probes/creates the group for an already-built key and folds the row
-  /// in. New groups record `stamp` (their global first occurrence).
-  Status AccumulateKeyed(const ValueList& key, const ValueList& row,
-                         const Environment& env, const EvalContext& ctx,
-                         GroupStamp stamp) {
-    auto pos = index.find(key);
-    if (pos == index.end()) {
-      Group g;
-      g.key = key;
-      g.representative = row;
-      g.stamp = stamp;
-      GQL_ASSIGN_OR_RETURN(g.aggs, MakeGroupAggs());
-      pos = index.emplace(key, groups.size()).first;
-      groups.push_back(std::move(g));
-    }
-    return AccumulateSlots(groups[pos->second], env, ctx);
   }
 };
 
@@ -273,8 +252,7 @@ Status AggregationState::Accumulate(const Table& input,
 }
 
 Status AggregationState::AccumulateRow(const ValueList& row,
-                                       const EvalContext& ctx,
-                                       GroupStamp stamp) {
+                                       const EvalContext& ctx) {
   Impl& im = *impl_;
   SchemaRowEnvironment env(im.shape->input_fields, row);
   if (!im.shape->has_keys) {
@@ -283,7 +261,6 @@ Status AggregationState::AccumulateRow(const ValueList& row,
     if (im.groups.empty()) {
       Impl::Group g;
       g.representative = row;
-      g.stamp = stamp;
       GQL_ASSIGN_OR_RETURN(g.aggs, im.MakeGroupAggs());
       im.groups.push_back(std::move(g));
     }
@@ -293,9 +270,17 @@ Status AggregationState::AccumulateRow(const ValueList& row,
   // expression, r, is a non-aggregating expression and therefore acts
   // as an implicit grouping key"). The key is built in a reused scratch
   // buffer; the existing-group path allocates nothing.
-  GQL_RETURN_IF_ERROR(
-      Impl::BuildKey(*im.shape, row, env, ctx, &im.key_scratch));
-  return im.AccumulateKeyed(im.key_scratch, row, env, ctx, stamp);
+  GQL_RETURN_IF_ERROR(im.BuildKey(row, env, ctx, &im.key_scratch));
+  auto pos = im.index.find(im.key_scratch);
+  if (pos == im.index.end()) {
+    Impl::Group g;
+    g.key = im.key_scratch;
+    g.representative = row;
+    GQL_ASSIGN_OR_RETURN(g.aggs, im.MakeGroupAggs());
+    pos = im.index.emplace(im.key_scratch, im.groups.size()).first;
+    im.groups.push_back(std::move(g));
+  }
+  return im.AccumulateSlots(im.groups[pos->second], env, ctx);
 }
 
 Status AggregationState::MergeFrom(AggregationState&& other) {
@@ -310,7 +295,6 @@ Status AggregationState::MergeFrom(AggregationState&& other) {
       } else {
         Impl::Group& g = im.groups[0];
         Impl::Group& og = oim.groups[0];
-        if (og.stamp < g.stamp) g.stamp = og.stamp;
         for (size_t a = 0; a < g.aggs.size(); ++a) {
           GQL_ASSIGN_OR_RETURN(Value partial, og.aggs[a]->ExportPartial());
           GQL_RETURN_IF_ERROR(g.aggs[a]->MergePartial(partial));
@@ -332,7 +316,6 @@ Status AggregationState::MergeFrom(AggregationState&& other) {
       continue;
     }
     Impl::Group& g = im.groups[pos->second];
-    if (og.stamp < g.stamp) g.stamp = og.stamp;
     for (size_t a = 0; a < g.aggs.size(); ++a) {
       GQL_ASSIGN_OR_RETURN(Value partial, og.aggs[a]->ExportPartial());
       GQL_RETURN_IF_ERROR(g.aggs[a]->MergePartial(partial));
@@ -343,10 +326,7 @@ Status AggregationState::MergeFrom(AggregationState&& other) {
   return Status::OK();
 }
 
-bool AggregationState::has_keys() const { return impl_->shape->has_keys; }
-
-Result<Table> AggregationState::Finish(const EvalContext& ctx,
-                                       std::vector<GroupStamp>* stamps) {
+Result<Table> AggregationState::Finish(const EvalContext& ctx) {
   Impl& im = *impl_;
   // Global aggregation over an empty input: one row of neutral aggregate
   // values — but only when there are no grouping keys.
@@ -390,33 +370,10 @@ Result<Table> AggregationState::Finish(const EvalContext& ctx,
       }
     }
     output.AddRow(std::move(out_row));
-    if (stamps != nullptr) stamps->push_back(g.stamp);
   }
   im.groups.clear();
   im.index.clear();
   return output;
-}
-
-// ---- PartitionedAggregationState --------------------------------------------
-
-PartitionedAggregationState::PartitionedAggregationState(
-    const AggregationState& proto, size_t partitions) {
-  parts_.reserve(partitions);
-  for (size_t p = 0; p < partitions; ++p) parts_.push_back(proto.Fork());
-}
-
-Status PartitionedAggregationState::AccumulateRow(const ValueList& row,
-                                                  const EvalContext& ctx,
-                                                  GroupStamp stamp) {
-  const AggregationState::Impl::Shape& shape = *parts_[0].impl_->shape;
-  SchemaRowEnvironment env(shape.input_fields, row);
-  GQL_RETURN_IF_ERROR(AggregationState::Impl::BuildKey(shape, row, env, ctx,
-                                                       &key_scratch_));
-  // RowHash is the same equivalence-consistent hash the group index
-  // probes with, so equivalent keys (1 vs 1.0) cannot split across
-  // partitions and create duplicate groups.
-  size_t p = RowHash(key_scratch_) % parts_.size();
-  return parts_[p].impl_->AccumulateKeyed(key_scratch_, row, env, ctx, stamp);
 }
 
 // ---- Post-projection tail ---------------------------------------------------

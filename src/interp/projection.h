@@ -33,28 +33,17 @@ Result<Table> EvaluateProjection(const ast::ProjectionBody& body,
 /// body groups rather than maps).
 bool ProjectionAggregates(const ast::ProjectionBody& body);
 
-/// Global first-occurrence position of an aggregation group: the (scan
-/// range, row-within-range) coordinates of the row that created it. The
-/// partitioned parallel merge stamps every group at creation and
-/// interleaves the per-partition group streams back into ascending stamp
-/// order — exactly the serial first-occurrence group order.
-struct GroupStamp {
-  uint64_t range = 0;
-  uint64_t row = 0;
-};
-inline bool operator<(const GroupStamp& a, const GroupStamp& b) {
-  return a.range != b.range ? a.range < b.range : a.row < b.row;
-}
-
 /// Grouping/aggregation state of one aggregating projection body — the
 /// machinery behind EvaluateProjection's aggregate path, exposed so the
 /// morsel-driven parallel runtime can aggregate per worker and merge.
 ///
-/// Protocol: every partition Plan()s its own state against its input
-/// fields, Accumulate()s its share of the rows, and the merge stage folds
-/// the partials together with MergeFrom() *in partition (input) order* —
-/// that order makes collect(), DISTINCT first-occurrence, group output
-/// order and representative-row choice identical to a serial run over the
+/// Protocol: the body is Plan()ned once against its input fields and
+/// Fork()ed into one state per partition (the parallel runtime's scan
+/// ranges); each state Accumulate()s its share of the rows, and the merge
+/// stage folds the partials together with MergeFrom() *in partition
+/// (input) order*, keyed and keyless bodies alike. That order alone makes
+/// collect(), DISTINCT first-occurrence, group output order and
+/// representative-row choice identical to a serial run over the
 /// concatenated input. Finish() then produces the grouped rows (one per
 /// group, plus the neutral row for empty keyless input), to be
 /// post-processed by ApplyProjectionTail.
@@ -81,68 +70,27 @@ class AggregationState {
   /// Folds one row (positionally compatible with the planned input
   /// fields) into the group accumulators — the streaming entry point: the
   /// batched and parallel runtimes feed morsels straight into the state
-  /// without materializing the pre-aggregation table. `stamp` records the
-  /// row's global scan position on any group it creates (serial callers
-  /// leave the default; only the partitioned merge reads stamps back).
-  Status AccumulateRow(const ValueList& row, const EvalContext& ctx,
-                       GroupStamp stamp = {});
+  /// without materializing the pre-aggregation table.
+  Status AccumulateRow(const ValueList& row, const EvalContext& ctx);
 
   /// Absorbs a partial that accumulated a LATER partition of the input
   /// (merge in partition order). `other` must be planned from the same
-  /// projection body; it is consumed. Groups keep the stamp of their
-  /// earliest occurrence.
+  /// projection body; it is consumed. Groups new to this state append in
+  /// `other`'s first-occurrence order; a group already here keeps its
+  /// earlier representative row.
   Status MergeFrom(AggregationState&& other);
 
   /// Produces the grouped output rows (group keys in first-occurrence
-  /// order). Terminal: the accumulators are consumed. When `stamps` is
-  /// non-null it receives each output row's first-occurrence stamp
-  /// (ascending — groups are stored in first-occurrence order).
-  Result<Table> Finish(const EvalContext& ctx,
-                       std::vector<GroupStamp>* stamps = nullptr);
-
-  /// True when the planned body has non-aggregating items: rows group by
-  /// key (the partitioned parallel merge applies). False = keyless global
-  /// aggregation (single group; the direct-fold merge chain stays O(1)
-  /// per partial).
-  bool has_keys() const;
+  /// order). Terminal: the accumulators are consumed.
+  Result<Table> Finish(const EvalContext& ctx);
 
   /// Output column names (one per projection item).
   const std::vector<std::string>& out_fields() const;
 
  private:
-  friend class PartitionedAggregationState;
   AggregationState();
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// P-way hash-partitioned aggregation, the parallel runtime's keyed-merge
-/// building block: rows route to one of P AggregationStates by group-key
-/// hash (RowHash — the same equivalence-consistent hash the group index
-/// probes with, so equivalent keys always land in the same partition).
-/// Each worker keeps one of these per scan range; the merge stage then
-/// folds partition p of every range in range order — P INDEPENDENT
-/// MergeFrom chains running as parallel tasks instead of one serial
-/// chain — and the stamps recorded at group creation let the final
-/// interleave restore serial first-occurrence group order exactly.
-class PartitionedAggregationState {
- public:
-  /// Forks `proto` (a planned, keyed AggregationState) into `partitions`
-  /// empty states sharing its plan.
-  PartitionedAggregationState(const AggregationState& proto,
-                              size_t partitions);
-
-  /// Builds the row's grouping key once, routes by its hash, and folds
-  /// the row into the owning partition under `stamp`.
-  Status AccumulateRow(const ValueList& row, const EvalContext& ctx,
-                       GroupStamp stamp);
-
-  size_t num_partitions() const { return parts_.size(); }
-  AggregationState& partition(size_t p) { return parts_[p]; }
-
- private:
-  std::vector<AggregationState> parts_;
-  ValueList key_scratch_;
 };
 
 /// The shared post-projection pipeline: DISTINCT, ORDER BY, SKIP / LIMIT

@@ -44,8 +44,7 @@ struct ParallelPlanInfo {
   /// Why the plan stays serial (surfaced by EXPLAIN); empty when safe.
   std::string reason;
   /// Human-readable merge-stage shape ("parallel merge sort",
-  /// "partitioned aggregation merge", ...) for EXPLAIN/PROFILE; empty
-  /// when serial.
+  /// "aggregation merge", ...) for EXPLAIN/PROFILE; empty when serial.
   std::string merge_shape;
   /// Per worker instance (instance 0 is Plan::root, instance i > 0 is
   /// extra_roots[i-1]): the merge-point projection (the lowest pipeline

@@ -360,9 +360,9 @@ GeneratedQuery GenerateQuery(Rng& rng) {
 /// One random PIPELINE-BREAKER-heavy query (ISSUE 8): ORDER BY with
 /// SKIP/LIMIT, DISTINCT projections, many-group (>= 64 groups)
 /// aggregation, and intermediate-WITH breakers — the shapes the parallel
-/// merge stages (parallel merge sort, partitioned aggregation,
-/// partitioned DISTINCT) execute, generated to stay inside the planner's
-/// parallel subset so the breaker paths actually run.
+/// merge stages (parallel merge sort, aggregation merge, partitioned
+/// DISTINCT) execute, generated to stay inside the planner's parallel
+/// subset so the breaker paths actually run.
 GeneratedQuery GenerateBreakerQuery(Rng& rng) {
   const std::vector<std::string> labels = {"", ":A", ":B", ":C"};
   GeneratedQuery out;
@@ -402,7 +402,7 @@ GeneratedQuery GenerateBreakerQuery(Rng& rng) {
       break;
     }
     case 2: {
-      // Many-group partitioned aggregation: id/name group keys give >= 64
+      // Many-group aggregation merge: id/name group keys give >= 64
       // groups over the 150-node graph (integer and string key hashing).
       std::string key = rng.Chance(50) ? ".id" : ".name";
       std::string ret = " RETURN " + vars[0] + key + " AS g, count(*) AS c, " +
@@ -534,7 +534,7 @@ TEST(Differential, RuntimesMatchTheOracle) {
 
 TEST(Differential, ParallelBreakersMatchTheOracle) {
   // ISSUE 8: pin the parallel merge stages (parallel merge sort,
-  // partitioned aggregation, partitioned DISTINCT) to the interpreter
+  // aggregation merge, partitioned DISTINCT) to the interpreter
   // oracle across every executor leg, byte-identically when ordered —
   // and prove the cases actually exercised the breaker paths instead of
   // quietly falling back to the serial drain.

@@ -82,56 +82,6 @@ TEST(WorkerPool, ZeroThreadsRunsOnCaller) {
   EXPECT_EQ(ran, 1);
 }
 
-// ---- WorkerPool::RunTasks (merge-stage submission) --------------------------
-
-TEST(WorkerPool, RunTasksRunsEveryTaskExactlyOnce) {
-  WorkerPool pool(3);
-  constexpr size_t kTasks = 37;  // more tasks than workers: claims loop
-  std::vector<int> ran(kTasks, 0);
-  Mutex mu;
-  ASSERT_TRUE(pool
-                  .RunTasks(kTasks,
-                            [&](size_t t) {
-                              MutexLock lock(&mu);
-                              ++ran[t];
-                              return Status::OK();
-                            })
-                  .ok());
-  for (size_t t = 0; t < kTasks; ++t) {
-    EXPECT_EQ(ran[t], 1) << "task " << t;
-  }
-}
-
-TEST(WorkerPool, RunTasksReportsLowestTaskIndexFailure) {
-  WorkerPool pool(3);
-  // Two failing tasks: whatever worker hits one first in wall-clock
-  // time, the reported error must be task 2's (lowest index wins).
-  for (int run = 0; run < 20; ++run) {
-    Status st = pool.RunTasks(16, [&](size_t t) {
-      if (t == 2 || t == 11) {
-        return Status::EvaluationError("task " + std::to_string(t));
-      }
-      return Status::OK();
-    });
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.ToString().find("task 2"), std::string::npos)
-        << "run " << run << ": " << st.ToString();
-  }
-}
-
-TEST(WorkerPool, RunTasksZeroTasksIsANoOp) {
-  WorkerPool pool(2);
-  int ran = 0;
-  ASSERT_TRUE(pool
-                  .RunTasks(0,
-                            [&](size_t) {
-                              ++ran;
-                              return Status::OK();
-                            })
-                  .ok());
-  EXPECT_EQ(ran, 0);
-}
-
 // ---- MorselDispatcher -------------------------------------------------------
 
 TEST(MorselDispatcher, CoversDomainWithoutOverlap) {
@@ -308,104 +258,11 @@ TEST(AggregationMerge, DistinctCollectKeepsFirstOccurrenceOrder) {
   }
 }
 
-/// Runs `input` through the full partitioned-aggregation merge exactly
-/// as the parallel runtime does: split into `splits` ranges, accumulate
-/// each range into a PartitionedAggregationState with global (range,
-/// row) stamps, merge partition p of every range in range order, Finish
-/// each partition with stamps, and interleave the per-partition group
-/// streams back into ascending stamp order.
-Result<Table> MergePartitioned(const ast::ProjectionBody& body,
-                               const Table& input,
-                               const std::vector<size_t>& splits,
-                               size_t partitions) {
-  EvalContext ctx;
-  GQL_ASSIGN_OR_RETURN(AggregationState proto,
-                       AggregationState::Plan(body, input.fields()));
-  std::vector<std::unique_ptr<PartitionedAggregationState>> ranges;
-  size_t row = 0;
-  for (size_t range = 0; range < splits.size(); ++range) {
-    auto st = std::make_unique<PartitionedAggregationState>(proto, partitions);
-    for (size_t i = 0; i < splits[range] && row < input.NumRows();
-         ++i, ++row) {
-      GQL_RETURN_IF_ERROR(st->AccumulateRow(input.rows()[row], ctx,
-                                            GroupStamp{range, i}));
-    }
-    ranges.push_back(std::move(st));
-  }
-  std::vector<Table> part_tables;
-  std::vector<std::vector<GroupStamp>> part_stamps(partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    AggregationState merged = std::move(ranges[0]->partition(p));
-    for (size_t r = 1; r < ranges.size(); ++r) {
-      GQL_RETURN_IF_ERROR(merged.MergeFrom(std::move(ranges[r]->partition(p))));
-    }
-    GQL_ASSIGN_OR_RETURN(Table t, merged.Finish(ctx, &part_stamps[p]));
-    part_tables.push_back(std::move(t));
-  }
-  Table out(part_tables[0].fields());
-  std::vector<size_t> pos(partitions, 0);
-  while (true) {
-    size_t best = partitions;
-    for (size_t p = 0; p < partitions; ++p) {
-      if (pos[p] >= part_stamps[p].size()) continue;
-      if (best == partitions ||
-          part_stamps[p][pos[p]] < part_stamps[best][pos[best]]) {
-        best = p;
-      }
-    }
-    if (best == partitions) break;
-    out.AddRow(std::move(part_tables[best].mutable_rows()[pos[best]]));
-    ++pos[best];
-  }
-  return out;
-}
-
-TEST(PartitionedAggregation, MatchesSerialAcrossPartitionCounts) {
-  BodyFixture fx(
-      "RETURN x AS x, count(*) AS c, sum(y) AS s, collect(y) AS ys, "
-      "min(y) AS mn");
-  Table input = IntTable(
-      {"x", "y"},
-      {{5, 1}, {2, 2}, {9, 3}, {2, 4}, {5, 5}, {7, 6}, {9, 7}, {2, 8}});
-  EvalContext ctx;
-  auto serial = EvaluateProjection(fx.body(), input, ctx);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  // Partition counts beyond the 4 distinct keys leave partitions EMPTY;
-  // range splits with empty edges/middles leave per-range states empty.
-  // Every combination must reproduce the serial group order (stamps) and
-  // contents (merge in range order) byte for byte.
-  for (size_t partitions : {size_t{1}, size_t{2}, size_t{3}, size_t{16}}) {
-    for (const std::vector<size_t>& splits :
-         std::vector<std::vector<size_t>>{
-             {8}, {3, 5}, {1, 1, 1, 1, 1, 1, 1, 1}, {0, 8, 0}, {4, 0, 4}}) {
-      auto merged = MergePartitioned(fx.body(), input, splits, partitions);
-      ASSERT_TRUE(merged.ok())
-          << partitions << " partitions: " << merged.status().ToString();
-      EXPECT_EQ(serial->ToString(), merged->ToString())
-          << partitions << " partitions";
-    }
-  }
-}
-
-TEST(PartitionedAggregation, AllRowsOneGroupLeavesOthersEmpty) {
-  BodyFixture fx("RETURN x AS x, count(*) AS c, sum(y) AS s");
-  // One group key: every row routes to ONE partition; the other
-  // partitions stay empty through accumulate, merge and finish.
-  Table input = IntTable({"x", "y"}, {{1, 10}, {1, 20}, {1, 30}, {1, 40}});
-  EvalContext ctx;
-  auto serial = EvaluateProjection(fx.body(), input, ctx);
-  ASSERT_TRUE(serial.ok());
-  auto merged = MergePartitioned(fx.body(), input, {2, 2}, 8);
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(serial->ToString(), merged->ToString());
-  ASSERT_EQ(merged->NumRows(), 1u);
-}
-
-TEST(PartitionedAggregation, EquivalentKeysShareAPartition) {
+TEST(AggregationMerge, EquivalentKeysMergeIntoOneGroup) {
   BodyFixture fx("RETURN x AS x, count(*) AS c");
-  // 1 and 1.0 are equivalent grouping keys (one group). Routing by any
-  // hash that is not equivalence-consistent would split them across
-  // partitions and produce two groups.
+  // 1 and 1.0 are equivalent grouping keys (one group). When they land in
+  // different ranges, MergeFrom must find the earlier group instead of
+  // appending a second one.
   Table input(std::vector<std::string>{"x"});
   ValueList r1, r2;
   r1.push_back(Value::Int(1));
@@ -416,12 +273,9 @@ TEST(PartitionedAggregation, EquivalentKeysShareAPartition) {
   auto serial = EvaluateProjection(fx.body(), input, ctx);
   ASSERT_TRUE(serial.ok());
   ASSERT_EQ(serial->NumRows(), 1u);
-  for (size_t partitions : {size_t{2}, size_t{7}, size_t{16}}) {
-    auto merged = MergePartitioned(fx.body(), input, {1, 1}, partitions);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(serial->ToString(), merged->ToString())
-        << partitions << " partitions";
-  }
+  auto merged = MergePartitions(fx.body(), input, {1, 1});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(serial->ToString(), merged->ToString());
 }
 
 // ---- Engine-level parallel execution ---------------------------------------
@@ -488,9 +342,10 @@ TEST(ParallelEngine, ExplainSurfacesWorkersAndSerialReasons) {
   for (const ShapeCase& c : std::vector<ShapeCase>{
            {"MATCH (n) RETURN n.v AS v ORDER BY v", "parallel merge sort"},
            {"MATCH (n) RETURN DISTINCT n.v AS v", "partitioned DISTINCT"},
-           {"MATCH (n) RETURN n.v AS g, count(*) AS c",
-            "partitioned aggregation merge"},
-           {"MATCH (n) RETURN count(*) AS c", "global aggregation fold"},
+           {"MATCH (n) RETURN DISTINCT n.v AS v ORDER BY v",
+            "partitioned DISTINCT merge + sort"},
+           {"MATCH (n) RETURN n.v AS g, count(*) AS c", "aggregation merge"},
+           {"MATCH (n) RETURN count(*) AS c", "aggregation merge"},
            {"MATCH (n) RETURN n.v AS v", "concat merge"},
            {"MATCH (n) WITH n.v AS v ORDER BY v RETURN count(*) AS c",
             "parallel merge sort at intermediate WITH"},
