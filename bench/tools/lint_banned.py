@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific banned-API lint, run by the `lint` CMake target and CI.
 
-Six rule families, each encoding a project invariant that neither the
+Seven rule families, each encoding a project invariant that neither the
 compiler nor clang-tidy enforces:
 
   raw-sync       Raw std::mutex / std::condition_variable / std::atomic /
@@ -45,6 +45,17 @@ compiler nor clang-tidy enforces:
                  src/storage/wal.cc (the crash-sweep fault hook). Every
                  environment knob is an untested configuration axis, so
                  a new one must be added here on purpose, not slip in.
+
+  expr-walk      A `case` label on Expr::Kind::kIndex or Expr::Kind::kCase
+                 in src/ outside src/frontend/ast.h (the one child
+                 traversal, ForEachChild / ForEachChildSlot),
+                 src/frontend/ast.cc (CloneExpr),
+                 src/frontend/ast_printer.cc (UnparseExpr) and
+                 src/eval/evaluator.cc (EvaluateExpr). Only a full walk
+                 over every expression kind needs those two labels. A walk
+                 that recurses by hand drifts from the AST and skips kinds,
+                 so walks go through the traversal and keep only the kinds
+                 they treat specially.
 
 Waivers: append `// lint: allow(<rule>) <reason>` on the offending line,
 or as a full-line comment on the line directly above (for lines that
@@ -127,6 +138,18 @@ RULES = [
                                        "src/storage/wal.cc")),
         "environment read outside src/plan/runtime.cc and "
         "src/storage/wal.cc; configuration goes through EngineOptions",
+    ),
+    (
+        "expr-walk",
+        re.compile(r"\bcase\s+(?:\w+::)*Expr::Kind::k(?:Index|Case)\b"),
+        lambda path: (path.startswith("src/")
+                      and path not in ("src/frontend/ast.h",
+                                       "src/frontend/ast.cc",
+                                       "src/frontend/ast_printer.cc",
+                                       "src/eval/evaluator.cc")),
+        "hand-written expression walk; recurse through ast::ForEachChild "
+        "/ ForEachChildSlot (src/frontend/ast.h) and keep only the kinds "
+        "this walk treats specially",
     ),
 ]
 

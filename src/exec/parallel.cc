@@ -17,123 +17,18 @@ namespace {
 
 using ast::Expr;
 
-bool ExprNondet(const Expr& e);
-
-bool PatternNondet(const ast::Pattern& p) {
-  for (const auto& path : p.paths) {
-    for (const auto& [k, v] : path.start.properties) {
-      if (ExprNondet(*v)) return true;
-    }
-    for (const auto& hop : path.hops) {
-      for (const auto& [k, v] : hop.rel.properties) {
-        if (ExprNondet(*v)) return true;
-      }
-      for (const auto& [k, v] : hop.node.properties) {
-        if (ExprNondet(*v)) return true;
-      }
-    }
-  }
-  return false;
-}
-
 /// Does the expression call rand()? (The parser lower-cases function
-/// names.) Mirrors ContainsAggregate's traversal, plus pattern
-/// predicates, whose property expressions ContainsAggregate need not
-/// visit.
-bool ExprNondet(const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kFunctionCall: {
-      const auto& f = static_cast<const ast::FunctionCallExpr&>(e);
-      if (f.name == "rand") return true;
-      for (const auto& a : f.args) {
-        if (ExprNondet(*a)) return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kProperty:
-      return ExprNondet(*static_cast<const ast::PropertyExpr&>(e).object);
-    case Expr::Kind::kLabelCheck:
-      return ExprNondet(*static_cast<const ast::LabelCheckExpr&>(e).object);
-    case Expr::Kind::kListLiteral: {
-      for (const auto& i : static_cast<const ast::ListLiteralExpr&>(e).items) {
-        if (ExprNondet(*i)) return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kMapLiteral: {
-      for (const auto& [k, v] :
-           static_cast<const ast::MapLiteralExpr&>(e).entries) {
-        if (ExprNondet(*v)) return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kBinary: {
-      const auto& b = static_cast<const ast::BinaryExpr&>(e);
-      return ExprNondet(*b.lhs) || ExprNondet(*b.rhs);
-    }
-    case Expr::Kind::kUnary:
-      return ExprNondet(*static_cast<const ast::UnaryExpr&>(e).operand);
-    case Expr::Kind::kIndex: {
-      const auto& i = static_cast<const ast::IndexExpr&>(e);
-      return ExprNondet(*i.object) || ExprNondet(*i.index);
-    }
-    case Expr::Kind::kSlice: {
-      const auto& s = static_cast<const ast::SliceExpr&>(e);
-      if (ExprNondet(*s.object)) return true;
-      if (s.from && ExprNondet(*s.from)) return true;
-      if (s.to && ExprNondet(*s.to)) return true;
-      return false;
-    }
-    case Expr::Kind::kCase: {
-      const auto& c = static_cast<const ast::CaseExpr&>(e);
-      if (c.operand && ExprNondet(*c.operand)) return true;
-      for (const auto& [w, t] : c.whens) {
-        if (ExprNondet(*w) || ExprNondet(*t)) return true;
-      }
-      if (c.otherwise && ExprNondet(*c.otherwise)) return true;
-      return false;
-    }
-    case Expr::Kind::kListComprehension: {
-      const auto& c = static_cast<const ast::ListComprehensionExpr&>(e);
-      if (ExprNondet(*c.list)) return true;
-      if (c.where && ExprNondet(*c.where)) return true;
-      if (c.project && ExprNondet(*c.project)) return true;
-      return false;
-    }
-    case Expr::Kind::kQuantifier: {
-      const auto& q = static_cast<const ast::QuantifierExpr&>(e);
-      return ExprNondet(*q.list) || ExprNondet(*q.where);
-    }
-    case Expr::Kind::kReduce: {
-      const auto& r = static_cast<const ast::ReduceExpr&>(e);
-      return ExprNondet(*r.init) || ExprNondet(*r.list) ||
-             ExprNondet(*r.body);
-    }
-    case Expr::Kind::kPatternPredicate:
-      return PatternNondet(
-          static_cast<const ast::PatternPredicateExpr&>(e).pattern);
-    case Expr::Kind::kLiteral:
-    case Expr::Kind::kVariable:
-    case Expr::Kind::kParameter:
-    case Expr::Kind::kCountStar:
-      return false;  // leaves
+/// names.)
+bool CallsRand(const Expr& e) {
+  if (e.kind == Expr::Kind::kFunctionCall &&
+      static_cast<const ast::FunctionCallExpr&>(e).name == "rand") {
+    return true;
   }
-  // A kind this walk does not know cannot be proven deterministic —
-  // treat it as nondeterministic so a future Expr addition fails SAFE
-  // (serial fallback) instead of racing on shared PRNG state.
-  return true;
-}
-
-bool BodyNondet(const ast::ProjectionBody& body) {
-  for (const auto& item : body.items) {
-    if (ExprNondet(*item.expr)) return true;
-  }
-  for (const auto& o : body.order_by) {
-    if (ExprNondet(*o.expr)) return true;
-  }
-  if (body.skip && ExprNondet(*body.skip)) return true;
-  if (body.limit && ExprNondet(*body.limit)) return true;
-  return false;
+  bool found = false;
+  ast::ForEachChild(e, [&found](const Expr& c) {
+    found = found || CallsRand(c);
+  });
+  return found;
 }
 
 /// True when `op` (a non-root operator) distributes over a partition of
@@ -381,38 +276,15 @@ ParallelCandidate AnalyzeParallelCandidate(Operator* root) {
 }
 
 bool QueryCallsNondeterministicFunction(const ast::Query& q) {
+  bool found = false;
   for (const auto& part : q.parts) {
     for (const auto& clause : part.clauses) {
-      switch (clause->kind) {
-        case ast::Clause::Kind::kMatch: {
-          const auto& m = static_cast<const ast::MatchClause&>(*clause);
-          if (PatternNondet(m.pattern)) return true;
-          if (m.where && ExprNondet(*m.where)) return true;
-          break;
-        }
-        case ast::Clause::Kind::kWith: {
-          const auto& w = static_cast<const ast::WithClause&>(*clause);
-          if (BodyNondet(w.body)) return true;
-          if (w.where && ExprNondet(*w.where)) return true;
-          break;
-        }
-        case ast::Clause::Kind::kReturn: {
-          const auto& r = static_cast<const ast::ReturnClause&>(*clause);
-          if (BodyNondet(r.body)) return true;
-          break;
-        }
-        case ast::Clause::Kind::kUnwind: {
-          const auto& u = static_cast<const ast::UnwindClause&>(*clause);
-          if (ExprNondet(*u.expr)) return true;
-          break;
-        }
-        default:
-          // Updating clauses and RETURN GRAPH never reach the planner.
-          break;
-      }
+      ast::ForEachClauseExpr(*clause, [&found](const Expr& e) {
+        found = found || CallsRand(e);
+      });
     }
   }
-  return false;
+  return found;
 }
 
 Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,

@@ -14,80 +14,16 @@ bool IsAggregateFunction(const std::string& name) {
 }
 
 bool ContainsAggregate(const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kCountStar:
-      return true;
-    case Expr::Kind::kFunctionCall: {
-      const auto& f = static_cast<const FunctionCallExpr&>(e);
-      if (IsAggregateFunction(f.name)) return true;
-      for (const auto& a : f.args) {
-        if (ContainsAggregate(*a)) return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kProperty:
-      return ContainsAggregate(
-          *static_cast<const PropertyExpr&>(e).object);
-    case Expr::Kind::kLabelCheck:
-      return ContainsAggregate(
-          *static_cast<const LabelCheckExpr&>(e).object);
-    case Expr::Kind::kListLiteral: {
-      for (const auto& i : static_cast<const ListLiteralExpr&>(e).items) {
-        if (ContainsAggregate(*i)) return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kMapLiteral: {
-      for (const auto& [k, v] : static_cast<const MapLiteralExpr&>(e).entries) {
-        if (ContainsAggregate(*v)) return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      return ContainsAggregate(*b.lhs) || ContainsAggregate(*b.rhs);
-    }
-    case Expr::Kind::kUnary:
-      return ContainsAggregate(*static_cast<const UnaryExpr&>(e).operand);
-    case Expr::Kind::kIndex: {
-      const auto& i = static_cast<const IndexExpr&>(e);
-      return ContainsAggregate(*i.object) || ContainsAggregate(*i.index);
-    }
-    case Expr::Kind::kSlice: {
-      const auto& s = static_cast<const SliceExpr&>(e);
-      if (ContainsAggregate(*s.object)) return true;
-      if (s.from && ContainsAggregate(*s.from)) return true;
-      if (s.to && ContainsAggregate(*s.to)) return true;
-      return false;
-    }
-    case Expr::Kind::kCase: {
-      const auto& c = static_cast<const CaseExpr&>(e);
-      if (c.operand && ContainsAggregate(*c.operand)) return true;
-      for (const auto& [w, t] : c.whens) {
-        if (ContainsAggregate(*w) || ContainsAggregate(*t)) return true;
-      }
-      if (c.otherwise && ContainsAggregate(*c.otherwise)) return true;
-      return false;
-    }
-    case Expr::Kind::kListComprehension: {
-      const auto& c = static_cast<const ListComprehensionExpr&>(e);
-      if (ContainsAggregate(*c.list)) return true;
-      if (c.where && ContainsAggregate(*c.where)) return true;
-      if (c.project && ContainsAggregate(*c.project)) return true;
-      return false;
-    }
-    case Expr::Kind::kQuantifier: {
-      const auto& q = static_cast<const QuantifierExpr&>(e);
-      return ContainsAggregate(*q.list) || ContainsAggregate(*q.where);
-    }
-    case Expr::Kind::kReduce: {
-      const auto& r = static_cast<const ReduceExpr&>(e);
-      return ContainsAggregate(*r.init) || ContainsAggregate(*r.list) ||
-             ContainsAggregate(*r.body);
-    }
-    default:
-      return false;
+  if (e.kind == Expr::Kind::kCountStar) return true;
+  if (e.kind == Expr::Kind::kFunctionCall &&
+      IsAggregateFunction(static_cast<const FunctionCallExpr&>(e).name)) {
+    return true;
   }
+  bool found = false;
+  ForEachChild(e, [&found](const Expr& c) {
+    found = found || ContainsAggregate(c);
+  });
+  return found;
 }
 
 std::string DerivedColumnName(const Expr& e) { return UnparseExpr(e); }
@@ -493,91 +429,29 @@ class Analyzer {
 
   Status CheckExpr(const Expr& e, const Scope& scope, bool allow_aggregates) {
     switch (e.kind) {
-      case Expr::Kind::kLiteral:
-      case Expr::Kind::kParameter:
-        return Status::OK();
       case Expr::Kind::kVariable:
         return RequireVar(static_cast<const VariableExpr&>(e).name, scope);
-      case Expr::Kind::kProperty:
-        return CheckExpr(*static_cast<const PropertyExpr&>(e).object, scope,
-                         allow_aggregates);
-      case Expr::Kind::kLabelCheck:
-        return CheckExpr(*static_cast<const LabelCheckExpr&>(e).object, scope,
-                         allow_aggregates);
-      case Expr::Kind::kListLiteral: {
-        for (const auto& i : static_cast<const ListLiteralExpr&>(e).items) {
-          GQL_RETURN_IF_ERROR(CheckExpr(*i, scope, allow_aggregates));
-        }
-        return Status::OK();
-      }
-      case Expr::Kind::kMapLiteral: {
-        for (const auto& [k, v] :
-             static_cast<const MapLiteralExpr&>(e).entries) {
-          GQL_RETURN_IF_ERROR(CheckExpr(*v, scope, allow_aggregates));
-        }
-        return Status::OK();
-      }
       case Expr::Kind::kCountStar:
-        if (!allow_aggregates) {
-          return Status::SemanticError(
-              "aggregation is only allowed in RETURN and WITH projections");
-        }
-        return Status::OK();
+        return allow_aggregates ? Status::OK() : AggregateNotAllowed();
       case Expr::Kind::kFunctionCall: {
         const auto& f = static_cast<const FunctionCallExpr&>(e);
-        if (IsAggregateFunction(f.name)) {
-          if (!allow_aggregates) {
-            return Status::SemanticError(
-                "aggregation is only allowed in RETURN and WITH projections");
-          }
-          for (const auto& a : f.args) {
-            // No nested aggregation.
-            if (ContainsAggregate(*a)) {
-              return Status::SemanticError(
-                  "aggregate functions cannot be nested");
-            }
-            GQL_RETURN_IF_ERROR(CheckExpr(*a, scope, false));
-          }
-          return Status::OK();
-        }
+        if (!IsAggregateFunction(f.name)) break;
+        if (!allow_aggregates) return AggregateNotAllowed();
         for (const auto& a : f.args) {
-          GQL_RETURN_IF_ERROR(CheckExpr(*a, scope, allow_aggregates));
+          // No nested aggregation.
+          if (ContainsAggregate(*a)) {
+            return Status::SemanticError(
+                "aggregate functions cannot be nested");
+          }
+          GQL_RETURN_IF_ERROR(CheckExpr(*a, scope, false));
         }
         return Status::OK();
-      }
-      case Expr::Kind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        GQL_RETURN_IF_ERROR(CheckExpr(*b.lhs, scope, allow_aggregates));
-        return CheckExpr(*b.rhs, scope, allow_aggregates);
-      }
-      case Expr::Kind::kUnary:
-        return CheckExpr(*static_cast<const UnaryExpr&>(e).operand, scope,
-                         allow_aggregates);
-      case Expr::Kind::kIndex: {
-        const auto& i = static_cast<const IndexExpr&>(e);
-        GQL_RETURN_IF_ERROR(CheckExpr(*i.object, scope, allow_aggregates));
-        return CheckExpr(*i.index, scope, allow_aggregates);
       }
       case Expr::Kind::kSlice: {
         const auto& s = static_cast<const SliceExpr&>(e);
         GQL_RETURN_IF_ERROR(CheckExpr(*s.object, scope, allow_aggregates));
         if (s.from) GQL_RETURN_IF_ERROR(CheckExpr(*s.from, scope, false));
         if (s.to) GQL_RETURN_IF_ERROR(CheckExpr(*s.to, scope, false));
-        return Status::OK();
-      }
-      case Expr::Kind::kCase: {
-        const auto& c = static_cast<const CaseExpr&>(e);
-        if (c.operand) {
-          GQL_RETURN_IF_ERROR(CheckExpr(*c.operand, scope, allow_aggregates));
-        }
-        for (const auto& [w, t] : c.whens) {
-          GQL_RETURN_IF_ERROR(CheckExpr(*w, scope, allow_aggregates));
-          GQL_RETURN_IF_ERROR(CheckExpr(*t, scope, allow_aggregates));
-        }
-        if (c.otherwise) {
-          GQL_RETURN_IF_ERROR(
-              CheckExpr(*c.otherwise, scope, allow_aggregates));
-        }
         return Status::OK();
       }
       case Expr::Kind::kListComprehension: {
@@ -610,7 +484,8 @@ class Analyzer {
       case Expr::Kind::kPatternPredicate: {
         const auto& p = static_cast<const PatternPredicateExpr&>(e);
         // Pattern predicates may not introduce new variables: every named
-        // variable must already be bound.
+        // variable must already be bound. Their property maps are checked
+        // below, with no aggregates.
         for (const auto& path : p.pattern.paths) {
           if (path.start.var) {
             GQL_RETURN_IF_ERROR(RequireVar(*path.start.var, scope));
@@ -624,10 +499,22 @@ class Analyzer {
             }
           }
         }
-        return Status::OK();
+        allow_aggregates = false;
+        break;
       }
+      default:
+        break;
     }
-    return Status::OK();
+    Status status;
+    ForEachChild(e, [&](const Expr& c) {
+      if (status.ok()) status = CheckExpr(c, scope, allow_aggregates);
+    });
+    return status;
+  }
+
+  static Status AggregateNotAllowed() {
+    return Status::SemanticError(
+        "aggregation is only allowed in RETURN and WITH projections");
   }
 };
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -423,6 +424,240 @@ NodePattern ClonePattern(const NodePattern& p);
 RelPattern ClonePattern(const RelPattern& p);
 PathPattern ClonePattern(const PathPattern& p);
 Pattern ClonePattern(const Pattern& p);
+
+// ---------------------------------------------------------------------------
+// Traversal: the one place that knows which sub-expressions each Expr kind
+// and each Clause kind holds. Every analysis or rewrite that recurses over
+// expressions goes through these and keeps only the cases specific to it.
+// Children are visited in source order; that order decides the synthetic
+// `_pN` parameter names and which analyzer error is reported first.
+//
+// The const and mutable forms have different names on purpose: `*clause`
+// on a `const std::vector<ClausePtr>` element is still a non-const
+// `Clause&`, so overloads would silently pick the mutable form.
+// ---------------------------------------------------------------------------
+
+namespace internal {
+
+/// `U`, const-qualified when `T` is.
+template <class T, class U>
+using LikeConst = std::conditional_t<std::is_const_v<T>, const U, U>;
+
+template <class U, class T>
+LikeConst<T, U>& As(T& x) {
+  return static_cast<LikeConst<T, U>&>(x);
+}
+
+/// Calls `fn(slot)` for every expression slot of a property map.
+template <class Props, class Fn>
+void ForEachMapSlot(Props& props, Fn& fn) {
+  for (auto& entry : props) fn(entry.second);
+}
+
+template <class P, class Fn>  // P: [const] PathPattern
+void ForEachPathSlot(P& path, Fn& fn) {
+  ForEachMapSlot(path.start.properties, fn);
+  for (auto& hop : path.hops) {
+    ForEachMapSlot(hop.rel.properties, fn);
+    ForEachMapSlot(hop.node.properties, fn);
+  }
+}
+
+template <class P, class Fn>  // P: [const] Pattern
+void ForEachPatternSlot(P& pattern, Fn& fn) {
+  for (auto& path : pattern.paths) ForEachPathSlot(path, fn);
+}
+
+template <class Items, class Fn>  // Items: [const] std::vector<SetItem>
+void ForEachSetItemSlot(Items& items, Fn& fn) {
+  for (auto& item : items) {
+    fn(item.target);
+    fn(item.value);
+  }
+}
+
+template <class B, class Fn>  // B: [const] ProjectionBody
+void ForEachBodySlot(B& body, Fn& fn) {
+  for (auto& item : body.items) fn(item.expr);
+  for (auto& order : body.order_by) fn(order.expr);
+  fn(body.skip);
+  fn(body.limit);
+}
+
+/// Calls `fn(slot)` for every direct sub-expression slot of `e`; a slot
+/// may hold null. No `default:`, so a new kind fails -Wswitch here.
+template <class E, class Fn>  // E: [const] Expr
+void ForEachExprSlot(E& e, Fn& fn) {
+  switch (e.kind) {
+    case Expr::Kind::kLiteral:
+    case Expr::Kind::kVariable:
+    case Expr::Kind::kParameter:
+    case Expr::Kind::kCountStar:
+      return;
+    case Expr::Kind::kProperty:
+      fn(As<PropertyExpr>(e).object);
+      return;
+    case Expr::Kind::kLabelCheck:
+      fn(As<LabelCheckExpr>(e).object);
+      return;
+    case Expr::Kind::kListLiteral:
+      for (auto& item : As<ListLiteralExpr>(e).items) fn(item);
+      return;
+    case Expr::Kind::kMapLiteral:
+      ForEachMapSlot(As<MapLiteralExpr>(e).entries, fn);
+      return;
+    case Expr::Kind::kFunctionCall:
+      for (auto& arg : As<FunctionCallExpr>(e).args) fn(arg);
+      return;
+    case Expr::Kind::kBinary: {
+      auto& b = As<BinaryExpr>(e);
+      fn(b.lhs);
+      fn(b.rhs);
+      return;
+    }
+    case Expr::Kind::kUnary:
+      fn(As<UnaryExpr>(e).operand);
+      return;
+    case Expr::Kind::kIndex: {
+      auto& ix = As<IndexExpr>(e);
+      fn(ix.object);
+      fn(ix.index);
+      return;
+    }
+    case Expr::Kind::kSlice: {
+      auto& s = As<SliceExpr>(e);
+      fn(s.object);
+      fn(s.from);
+      fn(s.to);
+      return;
+    }
+    case Expr::Kind::kCase: {
+      auto& c = As<CaseExpr>(e);
+      fn(c.operand);
+      for (auto& [when, then] : c.whens) {
+        fn(when);
+        fn(then);
+      }
+      fn(c.otherwise);
+      return;
+    }
+    case Expr::Kind::kListComprehension: {
+      auto& lc = As<ListComprehensionExpr>(e);
+      fn(lc.list);
+      fn(lc.where);
+      fn(lc.project);
+      return;
+    }
+    case Expr::Kind::kQuantifier: {
+      auto& q = As<QuantifierExpr>(e);
+      fn(q.list);
+      fn(q.where);
+      return;
+    }
+    case Expr::Kind::kReduce: {
+      auto& r = As<ReduceExpr>(e);
+      fn(r.init);
+      fn(r.list);
+      fn(r.body);
+      return;
+    }
+    case Expr::Kind::kPatternPredicate:
+      ForEachPatternSlot(As<PatternPredicateExpr>(e).pattern, fn);
+      return;
+  }
+}
+
+/// Calls `fn(slot)` for every expression slot of `c`: pattern property
+/// maps, WHERE, projection items, ORDER BY, SKIP, LIMIT, UNWIND, DELETE,
+/// and SET/MERGE targets and right-hand sides. A slot may hold null.
+template <class C, class Fn>  // C: [const] Clause
+void ForEachClauseSlot(C& c, Fn& fn) {
+  switch (c.kind) {
+    case Clause::Kind::kMatch: {
+      auto& m = As<MatchClause>(c);
+      ForEachPatternSlot(m.pattern, fn);
+      fn(m.where);
+      return;
+    }
+    case Clause::Kind::kWith: {
+      auto& w = As<WithClause>(c);
+      ForEachBodySlot(w.body, fn);
+      fn(w.where);
+      return;
+    }
+    case Clause::Kind::kReturn:
+      ForEachBodySlot(As<ReturnClause>(c).body, fn);
+      return;
+    case Clause::Kind::kUnwind:
+      fn(As<UnwindClause>(c).expr);
+      return;
+    case Clause::Kind::kCreate:
+      ForEachPatternSlot(As<CreateClause>(c).pattern, fn);
+      return;
+    case Clause::Kind::kDelete:
+      for (auto& e : As<DeleteClause>(c).exprs) fn(e);
+      return;
+    case Clause::Kind::kSet:
+      ForEachSetItemSlot(As<SetClause>(c).items, fn);
+      return;
+    case Clause::Kind::kMerge: {
+      auto& m = As<MergeClause>(c);
+      ForEachPathSlot(m.pattern, fn);
+      ForEachSetItemSlot(m.on_create, fn);
+      ForEachSetItemSlot(m.on_match, fn);
+      return;
+    }
+    case Clause::Kind::kReturnGraph:
+      ForEachPatternSlot(As<ReturnGraphClause>(c).pattern, fn);
+      return;
+    case Clause::Kind::kRemove:
+    case Clause::Kind::kFromGraph:
+      return;
+  }
+}
+
+}  // namespace internal
+
+/// Calls `fn(const Expr&)` on each non-null direct sub-expression of `e`.
+/// A pattern predicate's children are the expressions in its property
+/// maps.
+template <class Fn>
+void ForEachChild(const Expr& e, Fn&& fn) {
+  auto visit = [&fn](const ExprPtr& slot) {
+    if (slot) fn(static_cast<const Expr&>(*slot));
+  };
+  internal::ForEachExprSlot(e, visit);
+}
+
+/// Mutable form of ForEachChild: calls `fn(ExprPtr&)` on each non-null
+/// direct sub-expression slot of `e`, which `fn` may replace.
+template <class Fn>
+void ForEachChildSlot(Expr& e, Fn&& fn) {
+  auto visit = [&fn](ExprPtr& slot) {
+    if (slot) fn(slot);
+  };
+  internal::ForEachExprSlot(e, visit);
+}
+
+/// Calls `fn(const Expr&)` on each non-null top-level expression of `c`
+/// (see internal::ForEachClauseSlot for the list of slots).
+template <class Fn>
+void ForEachClauseExpr(const Clause& c, Fn&& fn) {
+  auto visit = [&fn](const ExprPtr& slot) {
+    if (slot) fn(static_cast<const Expr&>(*slot));
+  };
+  internal::ForEachClauseSlot(c, visit);
+}
+
+/// Mutable form of ForEachClauseExpr: calls `fn(ExprPtr&)` on each
+/// non-null top-level expression slot of `c`.
+template <class Fn>
+void ForEachClauseExprSlot(Clause& c, Fn&& fn) {
+  auto visit = [&fn](ExprPtr& slot) {
+    if (slot) fn(slot);
+  };
+  internal::ForEachClauseSlot(c, visit);
+}
 
 }  // namespace ast
 }  // namespace gqlite

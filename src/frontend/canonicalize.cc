@@ -12,356 +12,72 @@ using namespace ast;  // NOLINT(build/namespaces)
 
 namespace {
 
-/// Read-only AST walk collecting the names of `$param` references already
-/// present in the query (so synthetic names can avoid them), with a hook
-/// on every literal (the cache-key digest below reuses the walk).
-class ParamNameCollector {
- public:
-  virtual ~ParamNameCollector() = default;
+/// Calls `fn` on every literal and parameter under `e`, left to right.
+template <class Fn>
+void ForEachLeaf(const Expr& e, Fn& fn) {
+  if (e.kind == Expr::Kind::kLiteral || e.kind == Expr::Kind::kParameter) {
+    fn(e);
+    return;
+  }
+  ForEachChild(e, [&fn](const Expr& c) { ForEachLeaf(c, fn); });
+}
 
-  std::set<std::string> names;
-
-  virtual void OnLiteral(const Value& value) { (void)value; }
-
-  void Visit(const Expr* e) {
-    if (e == nullptr) return;
-    switch (e->kind) {
-      case Expr::Kind::kParameter:
-        names.insert(static_cast<const ParameterExpr&>(*e).name);
-        break;
-      case Expr::Kind::kLiteral:
-        OnLiteral(static_cast<const LiteralExpr&>(*e).value);
-        break;
-      case Expr::Kind::kVariable:
-      case Expr::Kind::kCountStar:
-        break;
-      case Expr::Kind::kProperty:
-        Visit(static_cast<const PropertyExpr&>(*e).object.get());
-        break;
-      case Expr::Kind::kLabelCheck:
-        Visit(static_cast<const LabelCheckExpr&>(*e).object.get());
-        break;
-      case Expr::Kind::kListLiteral:
-        for (const auto& it : static_cast<const ListLiteralExpr&>(*e).items) {
-          Visit(it.get());
-        }
-        break;
-      case Expr::Kind::kMapLiteral:
-        for (const auto& [k, v] :
-             static_cast<const MapLiteralExpr&>(*e).entries) {
-          Visit(v.get());
-        }
-        break;
-      case Expr::Kind::kFunctionCall:
-        for (const auto& a : static_cast<const FunctionCallExpr&>(*e).args) {
-          Visit(a.get());
-        }
-        break;
-      case Expr::Kind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(*e);
-        Visit(b.lhs.get());
-        Visit(b.rhs.get());
-        break;
-      }
-      case Expr::Kind::kUnary:
-        Visit(static_cast<const UnaryExpr&>(*e).operand.get());
-        break;
-      case Expr::Kind::kIndex: {
-        const auto& ix = static_cast<const IndexExpr&>(*e);
-        Visit(ix.object.get());
-        Visit(ix.index.get());
-        break;
-      }
-      case Expr::Kind::kSlice: {
-        const auto& s = static_cast<const SliceExpr&>(*e);
-        Visit(s.object.get());
-        Visit(s.from.get());
-        Visit(s.to.get());
-        break;
-      }
-      case Expr::Kind::kCase: {
-        const auto& c = static_cast<const CaseExpr&>(*e);
-        Visit(c.operand.get());
-        for (const auto& [w, t] : c.whens) {
-          Visit(w.get());
-          Visit(t.get());
-        }
-        Visit(c.otherwise.get());
-        break;
-      }
-      case Expr::Kind::kListComprehension: {
-        const auto& lc = static_cast<const ListComprehensionExpr&>(*e);
-        Visit(lc.list.get());
-        Visit(lc.where.get());
-        Visit(lc.project.get());
-        break;
-      }
-      case Expr::Kind::kQuantifier: {
-        const auto& q = static_cast<const QuantifierExpr&>(*e);
-        Visit(q.list.get());
-        Visit(q.where.get());
-        break;
-      }
-      case Expr::Kind::kReduce: {
-        const auto& r = static_cast<const ReduceExpr&>(*e);
-        Visit(r.init.get());
-        Visit(r.list.get());
-        Visit(r.body.get());
-        break;
-      }
-      case Expr::Kind::kPatternPredicate:
-        VisitPattern(static_cast<const PatternPredicateExpr&>(*e).pattern);
-        break;
+/// Calls `fn` on every literal and parameter of `q`, left to right.
+template <class Fn>
+void ForEachLeaf(const Query& q, Fn fn) {
+  for (const auto& part : q.parts) {
+    for (const auto& c : part.clauses) {
+      ForEachClauseExpr(*c, [&fn](const Expr& e) { ForEachLeaf(e, fn); });
     }
   }
-
-  void VisitPattern(const Pattern& p) {
-    for (const auto& path : p.paths) VisitPath(path);
-  }
-  void VisitPath(const PathPattern& path) {
-    for (const auto& [k, v] : path.start.properties) Visit(v.get());
-    for (const auto& hop : path.hops) {
-      for (const auto& [k, v] : hop.rel.properties) Visit(v.get());
-      for (const auto& [k, v] : hop.node.properties) Visit(v.get());
-    }
-  }
-
-  void VisitBody(const ProjectionBody& body) {
-    for (const auto& it : body.items) Visit(it.expr.get());
-    for (const auto& o : body.order_by) Visit(o.expr.get());
-    Visit(body.skip.get());
-    Visit(body.limit.get());
-  }
-
-  void VisitSetItems(const std::vector<SetItem>& items) {
-    for (const auto& it : items) {
-      Visit(it.target.get());
-      Visit(it.value.get());
-    }
-  }
-
-  void VisitClause(const Clause& c) {
-    switch (c.kind) {
-      case Clause::Kind::kMatch: {
-        const auto& m = static_cast<const MatchClause&>(c);
-        VisitPattern(m.pattern);
-        Visit(m.where.get());
-        break;
-      }
-      case Clause::Kind::kWith: {
-        const auto& w = static_cast<const WithClause&>(c);
-        VisitBody(w.body);
-        Visit(w.where.get());
-        break;
-      }
-      case Clause::Kind::kReturn:
-        VisitBody(static_cast<const ReturnClause&>(c).body);
-        break;
-      case Clause::Kind::kUnwind:
-        Visit(static_cast<const UnwindClause&>(c).expr.get());
-        break;
-      case Clause::Kind::kCreate:
-        VisitPattern(static_cast<const CreateClause&>(c).pattern);
-        break;
-      case Clause::Kind::kDelete:
-        for (const auto& e : static_cast<const DeleteClause&>(c).exprs) {
-          Visit(e.get());
-        }
-        break;
-      case Clause::Kind::kSet:
-        VisitSetItems(static_cast<const SetClause&>(c).items);
-        break;
-      case Clause::Kind::kRemove:
-        break;
-      case Clause::Kind::kMerge: {
-        const auto& m = static_cast<const MergeClause&>(c);
-        VisitPath(m.pattern);
-        VisitSetItems(m.on_create);
-        VisitSetItems(m.on_match);
-        break;
-      }
-      case Clause::Kind::kFromGraph:
-        break;
-      case Clause::Kind::kReturnGraph:
-        VisitPattern(static_cast<const ReturnGraphClause&>(c).pattern);
-        break;
-    }
-  }
-};
+}
 
 /// The rewriting pass: replaces literal sub-expressions with synthetic
-/// parameters, bottom-up through every runtime-evaluated position.
+/// parameters through every runtime-evaluated position.
 class Extractor {
  public:
   Extractor(std::set<std::string> reserved, AutoParameterization* out)
       : reserved_(std::move(reserved)), out_(out) {}
 
-  /// Rewrites the expression slot `*e` (which may hold null).
-  void Rewrite(ExprPtr* e) {
-    if (e == nullptr || *e == nullptr) return;
-    Expr& x = **e;
-    switch (x.kind) {
-      case Expr::Kind::kLiteral: {
-        auto& lit = static_cast<LiteralExpr&>(x);
-        std::string name = FreshName();
-        out_->extracted.emplace(name, std::move(lit.value));
-        auto param = std::make_unique<ParameterExpr>(std::move(name));
-        param->line = x.line;
-        param->col = x.col;
-        *e = std::move(param);
-        ++out_->count;
-        break;
-      }
-      case Expr::Kind::kVariable:
-      case Expr::Kind::kParameter:
-      case Expr::Kind::kCountStar:
-        break;
-      case Expr::Kind::kProperty:
-        Rewrite(&static_cast<PropertyExpr&>(x).object);
-        break;
-      case Expr::Kind::kLabelCheck:
-        Rewrite(&static_cast<LabelCheckExpr&>(x).object);
-        break;
-      case Expr::Kind::kListLiteral:
-        for (auto& it : static_cast<ListLiteralExpr&>(x).items) Rewrite(&it);
-        break;
-      case Expr::Kind::kMapLiteral:
-        for (auto& [k, v] : static_cast<MapLiteralExpr&>(x).entries) {
-          Rewrite(&v);
-        }
-        break;
-      case Expr::Kind::kFunctionCall:
-        for (auto& a : static_cast<FunctionCallExpr&>(x).args) Rewrite(&a);
-        break;
-      case Expr::Kind::kBinary: {
-        auto& b = static_cast<BinaryExpr&>(x);
-        Rewrite(&b.lhs);
-        Rewrite(&b.rhs);
-        break;
-      }
-      case Expr::Kind::kUnary:
-        Rewrite(&static_cast<UnaryExpr&>(x).operand);
-        break;
-      case Expr::Kind::kIndex: {
-        auto& ix = static_cast<IndexExpr&>(x);
-        Rewrite(&ix.object);
-        Rewrite(&ix.index);
-        break;
-      }
-      case Expr::Kind::kSlice: {
-        auto& s = static_cast<SliceExpr&>(x);
-        Rewrite(&s.object);
-        Rewrite(&s.from);
-        Rewrite(&s.to);
-        break;
-      }
-      case Expr::Kind::kCase: {
-        auto& c = static_cast<CaseExpr&>(x);
-        Rewrite(&c.operand);
-        for (auto& [w, t] : c.whens) {
-          Rewrite(&w);
-          Rewrite(&t);
-        }
-        Rewrite(&c.otherwise);
-        break;
-      }
-      case Expr::Kind::kListComprehension: {
-        auto& lc = static_cast<ListComprehensionExpr&>(x);
-        Rewrite(&lc.list);
-        Rewrite(&lc.where);
-        Rewrite(&lc.project);
-        break;
-      }
-      case Expr::Kind::kQuantifier: {
-        auto& q = static_cast<QuantifierExpr&>(x);
-        Rewrite(&q.list);
-        Rewrite(&q.where);
-        break;
-      }
-      case Expr::Kind::kReduce: {
-        auto& r = static_cast<ReduceExpr&>(x);
-        Rewrite(&r.init);
-        Rewrite(&r.list);
-        Rewrite(&r.body);
-        break;
-      }
-      case Expr::Kind::kPatternPredicate:
-        RewritePattern(&static_cast<PatternPredicateExpr&>(x).pattern);
-        break;
+  void Rewrite(ExprPtr& e) {
+    if (e->kind != Expr::Kind::kLiteral) {
+      ForEachChildSlot(*e, [this](ExprPtr& c) { Rewrite(c); });
+      return;
     }
+    auto& lit = static_cast<LiteralExpr&>(*e);
+    std::string name = FreshName();
+    out_->extracted.emplace(name, std::move(lit.value));
+    auto param = std::make_unique<ParameterExpr>(std::move(name));
+    param->line = e->line;
+    param->col = e->col;
+    e = std::move(param);
+    ++out_->count;
   }
 
-  void RewritePattern(Pattern* p) {
-    for (auto& path : p->paths) RewritePath(&path);
-  }
-  void RewritePath(PathPattern* path) {
-    for (auto& [k, v] : path->start.properties) Rewrite(&v);
-    for (auto& hop : path->hops) {
-      for (auto& [k, v] : hop.rel.properties) Rewrite(&v);
-      for (auto& [k, v] : hop.node.properties) Rewrite(&v);
-    }
-  }
-
-  /// Projection bodies: SKIP/LIMIT are runtime-evaluated and safe to
-  /// extract; items and ORDER BY stay untouched (they feed derived column
-  /// names and ORDER BY's column resolution — see header).
-  void RewriteBody(ProjectionBody* body) {
-    Rewrite(&body->skip);
-    Rewrite(&body->limit);
-  }
-
-  void RewriteSetItems(std::vector<SetItem>* items) {
-    for (auto& it : *items) {
-      // `it.target` is the n.k property target; its object is a variable,
-      // never a literal, but recurse for uniformity (e.g. map indexing).
-      Rewrite(&it.target);
-      Rewrite(&it.value);
-    }
-  }
-
-  void RewriteClause(Clause* c) {
-    switch (c->kind) {
-      case Clause::Kind::kMatch: {
-        auto& m = static_cast<MatchClause&>(*c);
-        RewritePattern(&m.pattern);
-        Rewrite(&m.where);
-        break;
-      }
+  /// Projection bodies: SKIP/LIMIT (and WITH's WHERE) are runtime-evaluated
+  /// and safe to extract; items and ORDER BY stay untouched (they feed
+  /// derived column names and ORDER BY's column resolution — see header).
+  void RewriteClause(Clause& c) {
+    auto rewrite = [this](ExprPtr& e) {
+      if (e) Rewrite(e);
+    };
+    switch (c.kind) {
       case Clause::Kind::kWith: {
-        auto& w = static_cast<WithClause&>(*c);
-        RewriteBody(&w.body);
-        Rewrite(&w.where);
-        break;
+        auto& w = static_cast<WithClause&>(c);
+        rewrite(w.body.skip);
+        rewrite(w.body.limit);
+        rewrite(w.where);
+        return;
       }
-      case Clause::Kind::kReturn:
-        RewriteBody(&static_cast<ReturnClause&>(*c).body);
-        break;
-      case Clause::Kind::kUnwind:
-        Rewrite(&static_cast<UnwindClause&>(*c).expr);
-        break;
-      case Clause::Kind::kCreate:
-        RewritePattern(&static_cast<CreateClause&>(*c).pattern);
-        break;
-      case Clause::Kind::kDelete:
-        for (auto& e : static_cast<DeleteClause&>(*c).exprs) Rewrite(&e);
-        break;
-      case Clause::Kind::kSet:
-        RewriteSetItems(&static_cast<SetClause&>(*c).items);
-        break;
-      case Clause::Kind::kRemove:
-        break;
-      case Clause::Kind::kMerge: {
-        auto& m = static_cast<MergeClause&>(*c);
-        RewritePath(&m.pattern);
-        RewriteSetItems(&m.on_create);
-        RewriteSetItems(&m.on_match);
-        break;
+      case Clause::Kind::kReturn: {
+        auto& r = static_cast<ReturnClause&>(c);
+        rewrite(r.body.skip);
+        rewrite(r.body.limit);
+        return;
       }
-      case Clause::Kind::kFromGraph:
-        break;
-      case Clause::Kind::kReturnGraph:
-        RewritePattern(&static_cast<ReturnGraphClause&>(*c).pattern);
-        break;
+      default:
+        ForEachClauseExprSlot(c, rewrite);
+        return;
     }
   }
 
@@ -377,10 +93,6 @@ class Extractor {
   AutoParameterization* out_;
   int next_ = 0;
 };
-
-}  // namespace
-
-namespace {
 
 /// Exact, unambiguous serialization of a literal value for the cache
 /// key. The unparsed query text alone is NOT injective: FormatValue
@@ -428,48 +140,35 @@ void AppendValueDigest(const Value& v, std::string* out) {
   }
 }
 
-/// Collects the literals still present after canonicalization, in a
-/// deterministic left-to-right walk (reusing the read-only visitor with
-/// a literal hook).
-class LiteralDigest : public ParamNameCollector {
- public:
-  std::string digest;
-
-  void VisitQuery(const ast::Query& q) {
-    for (const auto& part : q.parts) {
-      for (const auto& c : part.clauses) VisitClause(*c);
-    }
-  }
-
-  void OnLiteral(const Value& v) override {
-    digest += '|';
-    AppendValueDigest(v, &digest);
-  }
-};
-
 }  // namespace
 
 AutoParameterization AutoParameterize(ast::Query* q) {
-  ParamNameCollector collector;
-  for (const auto& part : q->parts) {
-    for (const auto& c : part.clauses) collector.VisitClause(*c);
-  }
+  std::set<std::string> reserved;
+  ForEachLeaf(*q, [&reserved](const Expr& e) {
+    if (e.kind == Expr::Kind::kParameter) {
+      reserved.insert(static_cast<const ParameterExpr&>(e).name);
+    }
+  });
   AutoParameterization out;
-  Extractor extractor(std::move(collector.names), &out);
+  Extractor extractor(std::move(reserved), &out);
   for (auto& part : q->parts) {
-    for (auto& c : part.clauses) extractor.RewriteClause(c.get());
+    for (auto& c : part.clauses) extractor.RewriteClause(*c);
   }
   return out;
 }
 
 std::string NormalizedQueryKey(const ast::Query& q) {
   std::string key = UnparseQuery(q);
-  LiteralDigest digest;
-  digest.VisitQuery(q);
   // Unit separator: query text cannot contain it, so text + digest stay
-  // unambiguous as a pair.
+  // unambiguous as a pair. The digest lists the literals still present
+  // after canonicalization, left to right.
   key += '\x1f';
-  key += digest.digest;
+  ForEachLeaf(q, [&key](const Expr& e) {
+    if (e.kind == Expr::Kind::kLiteral) {
+      key += '|';
+      AppendValueDigest(static_cast<const LiteralExpr&>(e).value, &key);
+    }
+  });
   return key;
 }
 

@@ -15,61 +15,38 @@ using namespace ast;  // NOLINT(build/namespaces)
 
 namespace {
 
-/// Rewrites an expression by pulling out aggregate calls: each aggregate
-/// occurrence becomes a VariableExpr("#aggN") and its (argument, function,
-/// distinct) triple is appended to `slots`. The returned clone is
-/// evaluated per group against an environment that resolves "#aggN".
+/// One aggregate occurrence of a projection item: the function, DISTINCT,
+/// and the argument (moved out of the item's rewritten clone; null for
+/// count(*)).
 struct AggSlot {
   std::string fn;      // "count", "sum", ... or "count(*)"
   bool distinct = false;
-  const Expr* arg = nullptr;  // null for count(*)
+  ExprPtr arg;
 };
 
-ExprPtr ExtractAggregates(const Expr& e, std::vector<AggSlot>* slots) {
-  if (e.kind == Expr::Kind::kCountStar) {
+/// Replaces each aggregate under the slot `e` with a VariableExpr("#aggN")
+/// and appends its AggSlot to `slots`.
+void ReplaceAggregates(ExprPtr& e, std::vector<AggSlot>* slots) {
+  if (e->kind == Expr::Kind::kCountStar) {
     slots->push_back(AggSlot{"count(*)", false, nullptr});
-    return std::make_unique<VariableExpr>("#agg" +
-                                          std::to_string(slots->size() - 1));
+  } else if (e->kind == Expr::Kind::kFunctionCall &&
+             IsAggregateFunction(static_cast<FunctionCallExpr&>(*e).name)) {
+    auto& f = static_cast<FunctionCallExpr&>(*e);
+    slots->push_back(AggSlot{f.name, f.distinct, std::move(f.args[0])});
+  } else {
+    ForEachChildSlot(*e, [slots](ExprPtr& c) { ReplaceAggregates(c, slots); });
+    return;
   }
-  if (e.kind == Expr::Kind::kFunctionCall) {
-    const auto& f = static_cast<const FunctionCallExpr&>(e);
-    if (IsAggregateFunction(f.name)) {
-      slots->push_back(AggSlot{f.name, f.distinct, f.args[0].get()});
-      return std::make_unique<VariableExpr>(
-          "#agg" + std::to_string(slots->size() - 1));
-    }
-    std::vector<ExprPtr> args;
-    for (const auto& a : f.args) args.push_back(ExtractAggregates(*a, slots));
-    return std::make_unique<FunctionCallExpr>(f.name, f.distinct,
-                                              std::move(args));
-  }
-  if (e.kind == Expr::Kind::kBinary) {
-    const auto& b = static_cast<const BinaryExpr&>(e);
-    return std::make_unique<BinaryExpr>(b.op, ExtractAggregates(*b.lhs, slots),
-                                        ExtractAggregates(*b.rhs, slots));
-  }
-  if (e.kind == Expr::Kind::kUnary) {
-    const auto& u = static_cast<const UnaryExpr&>(e);
-    return std::make_unique<UnaryExpr>(u.op,
-                                       ExtractAggregates(*u.operand, slots));
-  }
-  if (e.kind == Expr::Kind::kListLiteral) {
-    const auto& l = static_cast<const ListLiteralExpr&>(e);
-    std::vector<ExprPtr> items;
-    for (const auto& i : l.items) items.push_back(ExtractAggregates(*i, slots));
-    return std::make_unique<ListLiteralExpr>(std::move(items));
-  }
-  if (e.kind == Expr::Kind::kMapLiteral) {
-    const auto& m = static_cast<const MapLiteralExpr&>(e);
-    std::vector<std::pair<std::string, ExprPtr>> entries;
-    for (const auto& [k, v] : m.entries) {
-      entries.emplace_back(k, ExtractAggregates(*v, slots));
-    }
-    return std::make_unique<MapLiteralExpr>(std::move(entries));
-  }
-  // Other node kinds cannot contain aggregates per the analyzer (or are
-  // leaves); clone as-is.
-  return CloneExpr(e);
+  e = std::make_unique<VariableExpr>("#agg" +
+                                     std::to_string(slots->size() - 1));
+}
+
+/// Clones `e` with its aggregate calls pulled out into `slots`. The clone
+/// is evaluated per group against an environment that resolves "#aggN".
+ExprPtr ExtractAggregates(const Expr& e, std::vector<AggSlot>* slots) {
+  ExprPtr out = CloneExpr(e);
+  ReplaceAggregates(out, slots);
+  return out;
 }
 
 /// Environment that resolves "#aggN" placeholders, falling back to a base.
@@ -181,7 +158,7 @@ struct AggregationState::Impl {
     for (const auto& it : shape->items) {
       for (const auto& slot : it.slots) {
         Value v = Value::Bool(true);  // row marker for count(*)
-        if (slot.arg != nullptr) {
+        if (slot.arg) {
           GQL_ASSIGN_OR_RETURN(v, EvaluateExpr(*slot.arg, env, ctx));
         }
         GQL_RETURN_IF_ERROR(g.aggs[slot_idx]->Accumulate(v));

@@ -23,67 +23,17 @@ bool PipelinePlannable(const Pattern& pattern) {
 
 namespace {
 
+/// Appends the variables `e` reads that are not in `skip` (the names
+/// bound by enclosing list comprehensions, quantifiers and reduces).
 void CollectVars(const Expr& e, std::set<std::string>* skip,
                  std::vector<std::string>* out) {
+  auto use = [&](const std::string& name) {
+    if (!skip->contains(name)) out->push_back(name);
+  };
   switch (e.kind) {
-    case Expr::Kind::kVariable: {
-      const auto& v = static_cast<const VariableExpr&>(e);
-      if (!skip->contains(v.name)) out->push_back(v.name);
+    case Expr::Kind::kVariable:
+      use(static_cast<const VariableExpr&>(e).name);
       return;
-    }
-    case Expr::Kind::kProperty:
-      CollectVars(*static_cast<const PropertyExpr&>(e).object, skip, out);
-      return;
-    case Expr::Kind::kLabelCheck:
-      CollectVars(*static_cast<const LabelCheckExpr&>(e).object, skip, out);
-      return;
-    case Expr::Kind::kListLiteral:
-      for (const auto& i : static_cast<const ListLiteralExpr&>(e).items) {
-        CollectVars(*i, skip, out);
-      }
-      return;
-    case Expr::Kind::kMapLiteral:
-      for (const auto& [k, v] : static_cast<const MapLiteralExpr&>(e).entries) {
-        CollectVars(*v, skip, out);
-      }
-      return;
-    case Expr::Kind::kFunctionCall:
-      for (const auto& a : static_cast<const FunctionCallExpr&>(e).args) {
-        CollectVars(*a, skip, out);
-      }
-      return;
-    case Expr::Kind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      CollectVars(*b.lhs, skip, out);
-      CollectVars(*b.rhs, skip, out);
-      return;
-    }
-    case Expr::Kind::kUnary:
-      CollectVars(*static_cast<const UnaryExpr&>(e).operand, skip, out);
-      return;
-    case Expr::Kind::kIndex: {
-      const auto& i = static_cast<const IndexExpr&>(e);
-      CollectVars(*i.object, skip, out);
-      CollectVars(*i.index, skip, out);
-      return;
-    }
-    case Expr::Kind::kSlice: {
-      const auto& s = static_cast<const SliceExpr&>(e);
-      CollectVars(*s.object, skip, out);
-      if (s.from) CollectVars(*s.from, skip, out);
-      if (s.to) CollectVars(*s.to, skip, out);
-      return;
-    }
-    case Expr::Kind::kCase: {
-      const auto& c = static_cast<const CaseExpr&>(e);
-      if (c.operand) CollectVars(*c.operand, skip, out);
-      for (const auto& [w, t] : c.whens) {
-        CollectVars(*w, skip, out);
-        CollectVars(*t, skip, out);
-      }
-      if (c.otherwise) CollectVars(*c.otherwise, skip, out);
-      return;
-    }
     case Expr::Kind::kListComprehension: {
       const auto& c = static_cast<const ListComprehensionExpr&>(e);
       CollectVars(*c.list, skip, out);
@@ -113,25 +63,21 @@ void CollectVars(const Expr& e, std::set<std::string>* skip,
       return;
     }
     case Expr::Kind::kPatternPredicate: {
+      // The pattern's variables, then (below) its property maps.
       const auto& p = static_cast<const PatternPredicateExpr&>(e);
       for (const auto& path : p.pattern.paths) {
-        if (path.start.var && !skip->contains(*path.start.var)) {
-          out->push_back(*path.start.var);
-        }
+        if (path.start.var) use(*path.start.var);
         for (const auto& hop : path.hops) {
-          if (hop.rel.var && !skip->contains(*hop.rel.var)) {
-            out->push_back(*hop.rel.var);
-          }
-          if (hop.node.var && !skip->contains(*hop.node.var)) {
-            out->push_back(*hop.node.var);
-          }
+          if (hop.rel.var) use(*hop.rel.var);
+          if (hop.node.var) use(*hop.node.var);
         }
       }
-      return;
+      break;
     }
     default:
-      return;
+      break;
   }
+  ForEachChild(e, [&](const Expr& c) { CollectVars(c, skip, out); });
 }
 
 }  // namespace

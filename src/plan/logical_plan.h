@@ -33,8 +33,9 @@ struct ChainPlan {
 /// reference-matcher operator.
 bool PipelinePlannable(const ast::Pattern& pattern);
 
-/// Variables referenced by an expression (free variables, not counting
-/// list-comprehension iteration variables). Used for filter placement.
+/// Variables referenced by an expression, pattern-predicate property maps
+/// included (free variables, not counting list-comprehension, quantifier
+/// or reduce variables). Used for filter placement.
 std::vector<std::string> ExprVariables(const ast::Expr& e);
 
 /// Splits a predicate into its top-level AND conjuncts.

@@ -367,6 +367,8 @@ TEST(ParallelEngine, ExplainSurfacesWorkersAndSerialReasons) {
            {"MATCH (n) RETURN n.v AS v UNION MATCH (m) RETURN m.v AS v",
             "UNION"},
            {"MATCH (n) WHERE rand() < 2 RETURN count(*) AS c", "rand()"},
+           {"MATCH (n) WHERE (n)-->({v: rand()}) RETURN count(*) AS c",
+            "rand()"},
            {"OPTIONAL MATCH (n:NoSuchLabel) RETURN count(*) AS c",
             "OPTIONAL MATCH"},
            {"RETURN 1 AS one", "no MATCH drives the plan"},

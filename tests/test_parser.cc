@@ -396,5 +396,40 @@ TEST(Analyzer, PatternPredicateVariablesMustBeBound) {
   EXPECT_FALSE(Analyze(*q).ok());
 }
 
+// A pattern predicate's property maps are checked like any other
+// expression, so the verdict cannot depend on whether candidate
+// relationships exist at run time.
+TEST(Analyzer, PatternPredicateMapVariablesMustBeBound) {
+  for (const char* text :
+       {"MATCH (r) WHERE (r)-[:NOPE]->({acmid: nosuchvar}) "
+        "RETURN count(*) AS c",
+        "MATCH (r) RETURN exists((r)-->({v: nosuchvar})) AS e"}) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+    auto info = Analyze(*q);
+    ASSERT_FALSE(info.ok()) << text;
+    EXPECT_EQ(info.status().code(), StatusCode::kSemanticError) << text;
+  }
+  // A variable bound by an enclosing list comprehension is in scope there.
+  auto q = ParseQuery(
+      "MATCH (n) RETURN [x IN [1] WHERE (n)-->({v: x})] AS l");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto info = Analyze(*q);
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+}
+
+TEST(Analyzer, AggregateInPatternPredicateMapRejected) {
+  for (const char* text :
+       {"MATCH (r) WHERE (r)-->({v: count(*)}) RETURN r",
+        "MATCH (r) RETURN exists((r)-->({v: count(*)})) AS e",
+        "MATCH (r) RETURN exists((r)-->({v: collect(r.v)})) AS e"}) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+    auto info = Analyze(*q);
+    ASSERT_FALSE(info.ok()) << text;
+    EXPECT_EQ(info.status().code(), StatusCode::kSemanticError) << text;
+  }
+}
+
 }  // namespace
 }  // namespace gqlite

@@ -50,6 +50,19 @@ TEST(AutoParameterize, SameShapeSameKey) {
   AutoParameterize(&*a);
   AutoParameterize(&*b);
   EXPECT_EQ(NormalizedQueryKey(*a), NormalizedQueryKey(*b));
+
+  // Literals inside a pattern-predicate property map and a CASE branch.
+  auto c = ParseQuery("MATCH (n) WHERE (n)-->({v: 1}) AND "
+                      "CASE WHEN n.x > 0 THEN 'a' ELSE 'b' END = 'a' "
+                      "RETURN n.v AS v");
+  auto d = ParseQuery("MATCH (n) WHERE (n)-->({v: 2}) AND "
+                      "CASE WHEN n.x > 0 THEN 'z' ELSE 'b' END = 'a' "
+                      "RETURN n.v AS v");
+  ASSERT_TRUE(c.ok() && d.ok());
+  AutoParameterize(&*c);
+  AutoParameterize(&*d);
+  EXPECT_EQ(NormalizedQueryKey(*c), NormalizedQueryKey(*d));
+  EXPECT_NE(NormalizedQueryKey(*a), NormalizedQueryKey(*c));
 }
 
 TEST(AutoParameterize, DifferentShapeDifferentKey) {

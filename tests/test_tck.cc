@@ -647,6 +647,58 @@ std::vector<Scenario> Scenarios() {
        {"CREATE ({v: 1}), ({v: 1}), ({v: 2})"},
        "MATCH (n) RETURN count(n.v) AS c, count(DISTINCT n.v) AS d",
        {{"3", "2"}}},
+
+      // An aggregate may sit anywhere inside a projection item; the item
+      // is evaluated per group over the aggregate's value.
+      {"aggregate under index",
+       {"CREATE (:N {k: 1, v: 1}), (:N {k: 1, v: 2}), (:N {k: 2, v: 3})"},
+       "MATCH (n:N) RETURN collect(n.v)[0] AS first",
+       {{"1"}}},
+      {"aggregate under slice",
+       {"CREATE (:N {k: 1, v: 1}), (:N {k: 1, v: 2}), (:N {k: 2, v: 3})"},
+       "MATCH (n:N) RETURN collect(n.v)[0..2] AS firsts",
+       {{"[1, 2]"}}},
+      {"aggregate under CASE",
+       {"CREATE (:N {k: 1, v: 1}), (:N {k: 1, v: 2}), (:N {k: 2, v: 3})"},
+       "MATCH (n:N) RETURN CASE WHEN count(*) > 1 THEN 'many' ELSE 'few' END "
+       "AS size",
+       {{"'many'"}}},
+      {"aggregate under property access",
+       {"CREATE (:N {k: 1, v: 1}), (:N {k: 1, v: 2}), (:N {k: 2, v: 3})"},
+       "MATCH (n:N) RETURN {vs: collect(n.v)}.vs AS vs",
+       {{"[1, 2, 3]"}}},
+      {"aggregate under list comprehension list",
+       {"CREATE (:N {k: 1, v: 1}), (:N {k: 1, v: 2}), (:N {k: 2, v: 3})"},
+       "MATCH (n:N) RETURN [x IN collect(n.v) WHERE x > 1] AS big",
+       {{"[2, 3]"}}},
+      {"aggregate under quantifier list",
+       {"CREATE (:N {k: 1, v: 1}), (:N {k: 1, v: 2}), (:N {k: 2, v: 3})"},
+       "MATCH (n:N) RETURN any(x IN collect(n.v) WHERE x > 2) AS some",
+       {{"true"}}},
+      {"aggregate under reduce list",
+       {"CREATE (:N {k: 1, v: 1}), (:N {k: 1, v: 2}), (:N {k: 2, v: 3})"},
+       "MATCH (n:N) RETURN reduce(s = 0, x IN collect(n.v) | s + x) AS total",
+       {{"6"}}},
+      {"grouped aggregate under index",
+       {"CREATE (:N {k: 1, v: 1}), (:N {k: 1, v: 2}), (:N {k: 2, v: 3})"},
+       "MATCH (n:N) RETURN n.k AS k, collect(n.v)[0] AS first ORDER BY k",
+       {{"1", "1"}, {"2", "3"}},
+       true},
+
+      // A pattern predicate's property map may read a variable that the
+      // pattern tuple binds later: the filter waits for both scans.
+      {"pattern predicate map reads the later-bound variable",
+       {"CREATE (:A {id: 1})-[:T]->(:B {id: 7}), "
+        "(:A {id: 2})-[:T]->(:B {id: 8}), (:B {id: 9})"},
+       "MATCH (a:A), (b:B) WHERE (a)-[:T]->({id: b.id}) "
+       "RETURN a.id AS a, b.id AS b",
+       {{"1", "7"}, {"2", "8"}}},
+      {"pattern predicate map reads the later-bound variable, reversed",
+       {"CREATE (:A {id: 1})-[:T]->(:B {id: 7}), "
+        "(:A {id: 2})-[:T]->(:B {id: 8}), (:B {id: 9})"},
+       "MATCH (b:B), (a:A) WHERE ({id: a.id})-[:T]->(b) "
+       "RETURN a.id AS a, b.id AS b",
+       {{"1", "7"}, {"2", "8"}}},
   };
 }
 
