@@ -115,8 +115,7 @@ void BM_DetachDelete(benchmark::State& state) {
         {static_cast<size_t>(state.range(0)), 6.0, 5, 7});
     Database db = bench::MakeDatabase(g);
     state.ResumeTiming();
-    auto r = db.Execute("FROM GRAPH bench MATCH (p:Person) "
-                            "DETACH DELETE p");
+    auto r = db.Execute("MATCH (p:Person) DETACH DELETE p");
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;

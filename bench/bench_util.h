@@ -86,19 +86,15 @@ inline Database MakeEmptyDatabase(EngineOptions opts = {}) {
   return OpenWithFlags(opts, nullptr);
 }
 
-/// Builds an in-memory database whose default graph is `g` — both the
-/// implicit graph plain `db.Execute(query)` sees and the `bench` named
-/// graph the MustRun `FROM GRAPH bench` prefix selects.
+/// Builds an in-memory database whose default graph starts as `g`.
 inline Database MakeDatabase(GraphPtr g, EngineOptions opts = {}) {
-  Database db = OpenWithFlags(opts, g);
-  db.RegisterGraph("bench", std::move(g));
-  return db;
+  return OpenWithFlags(opts, std::move(g));
 }
 
-/// Runs a query against a named graph and aborts the benchmark binary on
-/// error (benchmarks must not silently measure failures).
+/// Runs a query against the default graph and aborts the benchmark binary
+/// on error (benchmarks must not silently measure failures).
 inline Table MustRun(Database& db, const std::string& query) {
-  auto r = db.Execute("FROM GRAPH bench " + query);
+  auto r = db.Execute(query);
   if (!r.ok()) {
     std::fprintf(stderr, "query failed: %s\n  %s\n", query.c_str(),
                  r.status().ToString().c_str());

@@ -18,7 +18,7 @@ int main() {
   Database db = std::move(*opened);
 
   // soc_net lives "at" an external URL (simulated by the catalog's URL
-  // registry; see DESIGN.md substitutions).
+  // registry; see README, "Deliberate departures from the paper").
   workload::SocialConfig cfg;
   cfg.num_people = 300;
   cfg.avg_friends = 6;

@@ -101,14 +101,21 @@ class Database {
     return engine_->Profile(query, params);
   }
 
-  /// Registers a named graph in the catalog (`FROM GRAPH name ...`).
-  /// Named graphs are NOT persisted — only the default graph is WAL-
-  /// backed; re-register them after reopening.
+  /// Registers a named graph in the catalog (`FROM GRAPH name ...`) as a
+  /// frozen value: a mutable `g` is snapshotted (O(pages)), so later
+  /// writes to `g` never show through the name, and no thread may mutate
+  /// `g` during the call. The name is read-only: an updating clause after
+  /// `FROM GRAPH name` fails with kInvalidArgument. The default graph is
+  /// not a catalog entry (`FROM GRAPH default` is NotFound unless
+  /// registered); registering its object stores a copy of its state at
+  /// the call. Named graphs are NOT persisted — only the default graph
+  /// is WAL-backed; re-register them after reopening.
   void RegisterGraph(const std::string& name, GraphPtr g) {
     engine_->catalog().RegisterGraph(name, std::move(g));
   }
-  /// Registers a graph under an external URL (FROM GRAPH ... AT "url").
-  /// Like named graphs, URL bindings are not persisted.
+  /// Registers a frozen copy of a graph under an external URL (FROM
+  /// GRAPH ... AT "url"), exactly like RegisterGraph. Like named graphs,
+  /// URL bindings are not persisted.
   void RegisterUrl(const std::string& url, GraphPtr g) {
     engine_->catalog().RegisterUrl(url, std::move(g));
   }

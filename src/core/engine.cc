@@ -46,7 +46,6 @@ CypherEngine::CypherEngine(const EngineOptions& options,
     recorder_ = std::make_unique<WalRecorder>(recovered.get());
     recovered->set_write_observer(recorder_.get());
   }
-  catalog_.RegisterGraph(GraphCatalog::kDefaultGraphName, recovered);
   graph_ = std::move(recovered);
 }
 
@@ -247,27 +246,23 @@ Status CypherEngine::CommitWriter() {
 }
 
 void CypherEngine::RollbackWriter() {
-  GraphPtr restored;
-  {
-    MutexLock lock(&txn_mu_);
-    // Re-materialize the pre-begin state as a fresh live head. The
-    // committed snapshot stays (it is content-equal to the new head).
-    restored = committed_snapshot_->Clone();
-    if (recorder_ != nullptr) {
-      // Drop the transaction's unlogged ops and observe the restored
-      // head from its (rolled-back) interner state — which matches what
-      // the log contains, since every older commit was harvested.
-      recorder_->Rebind(restored.get());
-      restored->set_write_observer(recorder_.get());
-    }
-    graph_ = restored;
-    committed_version_ = restored->data_version();
-    writer_active_ = false;
-    txn_cv_.NotifyAll();
+  MutexLock lock(&txn_mu_);
+  // Re-materialize the pre-begin state as a fresh live head. The
+  // committed snapshot stays (it is content-equal to the new head), so
+  // cached plans — validated against the executing snapshot's versions
+  // and rebound to it per execution — stay valid.
+  GraphPtr restored = committed_snapshot_->Clone();
+  if (recorder_ != nullptr) {
+    // Drop the transaction's unlogged ops and observe the restored head
+    // from its (rolled-back) interner state — which matches what the log
+    // contains, since every older commit was harvested.
+    recorder_->Rebind(restored.get());
+    restored->set_write_observer(recorder_.get());
   }
-  // Bumps the catalog version, invalidating cached plans bound to the
-  // abandoned head.
-  catalog_.RegisterGraph(GraphCatalog::kDefaultGraphName, restored);
+  committed_version_ = restored->data_version();
+  graph_ = std::move(restored);
+  writer_active_ = false;
+  txn_cv_.NotifyAll();
 }
 
 // ---- Statement execution ---------------------------------------------------
@@ -278,19 +273,24 @@ Result<PreparedQuery> CypherEngine::Prepare(std::string_view query) {
   // Analysis runs on the original tree so diagnostics mention the
   // literals the user wrote, not synthetic parameters.
   GQL_ASSIGN_OR_RETURN(state->info, Analyze(state->query));
+  bool reads_catalog = false;
   for (const auto& part : state->query.parts) {
     for (const auto& c : part.clauses) {
       if (c->kind == ast::Clause::Kind::kReturnGraph) {
         state->has_return_graph = true;
+      } else if (c->kind == ast::Clause::Kind::kFromGraph) {
+        reads_catalog = true;
       }
     }
   }
   // Canonicalize only when a cached plan can actually use it: updating
   // and RETURN GRAPH queries run on the interpreter (where keeping the
-  // user's literals also keeps diagnostics in their terms), and with the
-  // cache off the rewrite+unparse would be pure overhead on every
-  // Execute(text) call.
+  // user's literals also keeps diagnostics in their terms), only
+  // default-graph plans are cached (FROM GRAPH / QUERY GRAPH targets
+  // resolve per statement), and with the cache off the rewrite+unparse
+  // would be pure overhead on every Execute(text) call.
   bool cacheable = !state->info.updating && !state->has_return_graph &&
+                   !reads_catalog &&
                    options_.mode == ExecutionMode::kVolcano &&
                    options_.plan_cache_capacity > 0;
   if (cacheable) {
@@ -383,29 +383,7 @@ Result<QueryResult> CypherEngine::RunVolcano(
   bool busy = false;
   PlanCache::EntryPtr entry;
   if (cached) {
-    // Transactions with a pinned catalog validate (and insert) against
-    // the snapshot's version: a plan cached under a newer binding is
-    // never served to an older-pinned reader, and vice versa.
-    uint64_t cat_version = cref.version();
-    // A catalog-version move strands every older entry (they can never
-    // validate again); sweep them now so the graphs they pin are
-    // released promptly rather than on LRU eviction. Skipped under a
-    // pinned catalog: the pinned version may legitimately trail the live
-    // one, and sweeping by it would evict entries current transactions
-    // still validate.
-    bool sweep = false;
-    if (!cref.pinned()) {
-      MutexLock lock(&stats_mu_);
-      if (cat_version != swept_catalog_version_) {
-        swept_catalog_version_ = cat_version;
-        sweep = true;
-      }
-    }
-    if (sweep) {
-      plan_cache_.SweepStale(cat_version, graph->stats_version(),
-                             graph->data_version());
-    }
-    entry = plan_cache_.Acquire(key, cat_version, graph->stats_version(),
+    entry = plan_cache_.Acquire(key, graph->stats_version(),
                                 graph->data_version(), &busy);
   }
   EntryReleaser releaser{&plan_cache_, entry};
@@ -414,23 +392,9 @@ Result<QueryResult> CypherEngine::RunVolcano(
     Planner planner(cref, graph, &params, MakePlannerOptions(), rand.get());
     GQL_ASSIGN_OR_RETURN(local_plan, planner.PlanQuery(prepared->query));
     if (cached && !busy) {
-      // Snapshot generations AFTER planning: FROM GRAPH ... AT "url" may
-      // register a graph name while planning, bumping the catalog
-      // version. Contexts planned against this execution's default-graph
-      // snapshot are flagged: later executions validate them against
-      // (and rebind them to) THEIR snapshot.
-      std::vector<PlanCache::GraphGuard> guards;
-      std::vector<bool> default_ctx;
-      guards.reserve(local_plan.contexts.size());
-      default_ctx.reserve(local_plan.contexts.size());
-      for (const auto& ctx : local_plan.contexts) {
-        guards.push_back({ctx->graph_owner, ctx->graph_owner->stats_version(),
-                          ctx->graph_owner->data_version()});
-        default_ctx.push_back(ctx->graph_owner == graph);
-      }
       entry = plan_cache_.InsertAcquire(key, prepared, std::move(local_plan),
-                                        cref.version(), std::move(guards),
-                                        std::move(default_ctx));
+                                        graph->stats_version(),
+                                        graph->data_version());
       releaser.entry = entry;
     }
     // else: no cache, or the cached entry is mid-execution in another
@@ -441,17 +405,14 @@ Result<QueryResult> CypherEngine::RunVolcano(
   if (entry != nullptr) {
     plan = &entry->plan;
     // Rebind execution-scoped state: this execution's parameter
-    // bindings, PRNG checkout, and — for default-graph contexts — this
-    // transaction's snapshot. The pin guarantees exclusivity.
-    for (size_t i = 0; i < entry->plan.contexts.size(); ++i) {
-      auto& ctx = entry->plan.contexts[i];
+    // bindings, PRNG checkout and snapshot (a cached plan only ever
+    // reads the default graph). The pin guarantees exclusivity.
+    for (auto& ctx : entry->plan.contexts) {
       ctx->eval.parameters = &params;
       ctx->eval.rand_state = rand.get();
-      if (i < entry->default_ctx.size() && entry->default_ctx[i]) {
-        ctx->graph = graph.get();
-        ctx->graph_owner = graph;
-        ctx->eval.graph = graph.get();
-      }
+      ctx->graph = graph.get();
+      ctx->graph_owner = graph;
+      ctx->eval.graph = graph.get();
     }
   }
   WorkerPool* pool = options_.num_threads > 1 ? EnsureWorkerPool() : nullptr;
@@ -473,11 +434,16 @@ Result<QueryResult> CypherEngine::RunInterpreter(
                      &params, iopts, rand.get());
   MatchOptions match = MakeMatchOptions();
   uint64_t* rand_state = rand.get();
-  interp.set_update_handler([&interp, &params, &result, match, rand_state](
-                                const ast::Clause& c,
-                                Table t) -> Result<Table> {
-    UpdateExecutor upd(interp.current_graph().get(), &params, match,
-                       rand_state, &result.stats);
+  interp.set_update_handler([&interp, &graph, &params, &result, match,
+                             rand_state](const ast::Clause& c,
+                                         Table t) -> Result<Table> {
+    // Catalog graphs are frozen values outside the writer slot, the WAL
+    // and rollback: only the statement's bound graph takes writes.
+    if (interp.current_graph() != graph) {
+      return Status::InvalidArgument("a FROM GRAPH target is read-only");
+    }
+    UpdateExecutor upd(graph.get(), &params, match, rand_state,
+                       &result.stats);
     return upd.Execute(c, std::move(t));
   });
   GQL_ASSIGN_OR_RETURN(result.table, interp.ExecuteQuery(q));

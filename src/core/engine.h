@@ -89,7 +89,8 @@ class PreparedQuery {
   bool updating() const { return state_ != nullptr && state_->info.updating; }
   /// The normalized (auto-parameterized) query text — the plan-cache
   /// key. Empty for statements that bypass the cache (updating queries,
-  /// RETURN GRAPH, the interpreter mode, or a database without a cache).
+  /// RETURN GRAPH, FROM GRAPH / QUERY GRAPH, the interpreter mode, or a
+  /// database without a cache).
   const std::string& normalized_text() const {
     static const std::string kEmpty;
     return state_ ? state_->text_key : kEmpty;
@@ -143,8 +144,10 @@ class PreparedQuery {
 /// a Session (Database::CreateSession): `Begin(kRead)` pins one snapshot
 /// across many statements; `Begin(kWrite)` takes the writer slot without
 /// blocking, surfacing Status::Conflict when a second writer exists.
-/// NOT covered by snapshots: named/URL graphs (FROM GRAPH targets are
-/// shared mutable state — in practice read-only after setup), and the
+/// Named and URL graphs (FROM GRAPH targets) need no snapshots: the
+/// catalog stores each as a frozen value, and an updating clause on one
+/// fails with kInvalidArgument. The default graph is not in the catalog;
+/// this transaction core is its only owner. NOT covered: the
 /// engine-level rand() stream, which overlaps across concurrent
 /// auto-commit statements (statements run through a Session draw from
 /// that session's own seeded substream instead).
@@ -168,7 +171,8 @@ class CypherEngine {
   /// applied. Fixed for the engine's lifetime.
   const EngineOptions& options() const { return options_; }
 
-  /// Named-graph catalog (Cypher 10, §6). Internally locked.
+  /// Named-graph catalog (Cypher 10, §6): frozen named and URL graphs,
+  /// never the default graph. Internally locked.
   GraphCatalog& catalog() { return catalog_; }
 
   /// The plan cache (tests/tools may Clear() it or reset its stats — its
@@ -430,8 +434,6 @@ class CypherEngine {
   /// Sessions created so far — each gets a distinct seeded substream
   /// (rand_seed advanced by a per-session Weyl increment).
   uint64_t sessions_created_ GUARDED_BY(stats_mu_) = 0;
-  /// Catalog version at the last stale-entry sweep (see RunVolcano).
-  uint64_t swept_catalog_version_ GUARDED_BY(stats_mu_) = 0;
 
   /// Guards the lazy construction of the worker pool, which then lives
   /// as long as the engine.

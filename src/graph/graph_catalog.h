@@ -18,71 +18,43 @@ using GraphPtr = std::shared_ptr<PropertyGraph>;
 /// transaction's Begin (GraphCatalog::Capture). A snapshot-isolated
 /// reader resolves FROM GRAPH references against this — a concurrent
 /// RegisterGraph/RegisterUrl cannot change what its statements see
-/// mid-transaction (it used to: graph resolution happened per
-/// statement, at planning time).
+/// mid-transaction.
 struct CatalogSnapshot {
   std::unordered_map<std::string, GraphPtr> graphs;
   std::unordered_map<std::string, GraphPtr> urls;
-  uint64_t version = 0;
 };
 
 /// Named-graph catalog for the Cypher 10 multiple-graphs feature (§6).
 /// Graph references can name in-catalog graphs or be resolved from URLs
 /// ("hdfs://...", "bolt://..."): the paper's Example 6.1 loads graphs AT a
 /// URL. We simulate external storage with a URL→graph registry (see
-/// DESIGN.md substitution table) so the resolution code path is exercised
-/// without a network.
+/// README, "Deliberate departures from the paper") so the resolution code
+/// path is exercised without a network.
 ///
-/// Thread-safety: INTERNALLY LOCKED — every method takes mu_ itself, as
-/// the PR-6 annotations planned (the MutexLock moved from the call sites
-/// into the method bodies; no interface change otherwise). Methods hand
-/// out GraphPtr copies, never references into guarded state, so callers
-/// hold no lock while using a resolved graph.
+/// Every graph has one owner. The engine's transaction core owns the
+/// default graph, which is not in the catalog. The catalog holds named and
+/// URL graphs only, and each is a frozen value: registering a mutable
+/// graph stores a snapshot of it (O(pages)), so later writes to the
+/// caller's object never show through the name, and nothing reachable
+/// through the catalog can be written.
+///
+/// Thread-safety: INTERNALLY LOCKED — every method takes mu_ itself.
+/// Methods hand out GraphPtr copies, never references into guarded state,
+/// so callers hold no lock while using a resolved graph.
 class GraphCatalog {
  public:
-  /// Name of the implicit single global graph of Cypher 9.
-  static constexpr const char* kDefaultGraphName = "default";
-
-  // Direct field init (not RegisterGraph): constructors run before the
-  // object can be shared, where holding mu_ would be meaningless.
-  GraphCatalog() {
-    graphs_[kDefaultGraphName] = std::make_shared<PropertyGraph>();
-  }
-
-  /// Registers (or replaces) a named graph. Bumps the catalog version
-  /// only when the mapping actually changes, so re-registering the same
-  /// graph (e.g. when planning FROM GRAPH ... AT re-resolves a URL) does
-  /// not invalidate cached plans.
+  /// Registers (or replaces) a named graph, frozen (see class comment).
   void RegisterGraph(std::string_view name, GraphPtr graph) EXCLUDES(mu_) {
+    GraphPtr frozen = Freeze(std::move(graph));
     MutexLock lock(&mu_);
-    GraphPtr& slot = graphs_[std::string(name)];
-    if (slot != graph) {
-      slot = std::move(graph);
-      ++version_;
-    }
+    graphs_[std::string(name)] = std::move(frozen);
   }
 
-  /// Registers a URL as resolving to a (new or existing) graph.
+  /// Registers a URL as resolving to a frozen copy of `graph`.
   void RegisterUrl(std::string_view url, GraphPtr graph) EXCLUDES(mu_) {
+    GraphPtr frozen = Freeze(std::move(graph));
     MutexLock lock(&mu_);
-    GraphPtr& slot = urls_[std::string(url)];
-    if (slot != graph) {
-      slot = std::move(graph);
-      ++version_;
-    }
-  }
-
-  /// Monotonic counter of name/URL (re)bindings. Cached plans resolve
-  /// FROM GRAPH references at planning time, so any rebinding stales
-  /// them (generation-based invalidation in the plan cache).
-  uint64_t version() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return version_;
-  }
-
-  bool HasGraph(std::string_view name) const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return graphs_.contains(std::string(name));
+    urls_[std::string(url)] = std::move(frozen);
   }
 
   /// Resolves a graph by name.
@@ -92,11 +64,6 @@ class GraphCatalog {
   /// under `name` as a side effect when called through the engine.
   Result<GraphPtr> ResolveUrl(std::string_view url) const EXCLUDES(mu_);
 
-  GraphPtr default_graph() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return graphs_.at(kDefaultGraphName);
-  }
-
   /// Copies the current bindings for per-transaction pinning (see
   /// CatalogSnapshot). O(catalog size), taken once per Begin.
   std::shared_ptr<const CatalogSnapshot> Capture() const EXCLUDES(mu_) {
@@ -104,17 +71,19 @@ class GraphCatalog {
     MutexLock lock(&mu_);
     snap->graphs = graphs_;
     snap->urls = urls_;
-    snap->version = version_;
     return snap;
   }
 
  private:
-  /// Mutable so const reads (version, Resolve) lock through the same
-  /// capability as writers.
+  static GraphPtr Freeze(GraphPtr g) {
+    return g->frozen() ? std::move(g) : g->Snapshot();
+  }
+
+  /// Mutable so const reads (Resolve) lock through the same capability as
+  /// writers.
   mutable Mutex mu_;
   std::unordered_map<std::string, GraphPtr> graphs_ GUARDED_BY(mu_);
   std::unordered_map<std::string, GraphPtr> urls_ GUARDED_BY(mu_);
-  uint64_t version_ GUARDED_BY(mu_) = 0;
 };
 
 /// How the planner and interpreter see the catalog: the live catalog,
@@ -152,14 +121,6 @@ class CatalogRef {
   void RegisterGraph(std::string_view name, GraphPtr graph) const {
     live_->RegisterGraph(name, std::move(graph));
   }
-
-  /// The version cached plans validate against: the pinned snapshot's
-  /// (stable for the transaction) or the live counter.
-  uint64_t version() const {
-    return pinned_ != nullptr ? pinned_->version : live_->version();
-  }
-  bool pinned() const { return pinned_ != nullptr; }
-  GraphCatalog* live() const { return live_; }
 
  private:
   GraphCatalog* live_;

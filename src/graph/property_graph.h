@@ -212,9 +212,10 @@ class PropertyGraph {
 
   /// Monotonic counter of plan-relevant structural changes: node and
   /// relationship creation/deletion and label changes — everything that
-  /// moves the cardinality statistics the planner bakes into a plan (and
-  /// the relationship-count bound substituted for ∞ in unbounded
-  /// variable-length patterns). Property value updates do NOT bump it:
+  /// moves the cardinality statistics a plan's choices come from. A plan
+  /// bakes in no graph data (no bound derived from a count), so a version
+  /// that returns to an earlier value after a rollback still describes a
+  /// plan that answers correctly. Property value updates do NOT bump it:
   /// plans evaluate property predicates at runtime, so cached plans stay
   /// valid across SET/REMOVE of properties. The plan cache uses this for
   /// generation-based invalidation; snapshots inherit the value at

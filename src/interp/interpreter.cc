@@ -159,7 +159,8 @@ Result<Table> Interpreter::ExecUnwind(const UnwindClause& u,
     GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*u.expr, env, ctx));
     // Figure 7's rule: a list unwinds element-wise (empty list → no rows);
     // any non-list value (including null — a deliberate fidelity choice,
-    // see DESIGN.md) yields a single row.
+    // see README, "Deliberate departures from the paper") yields a single
+    // row.
     if (v.is_list()) {
       for (const Value& e : v.AsList()) {
         ValueList out_row = row;
@@ -180,7 +181,8 @@ Result<Table> Interpreter::ExecFromGraph(const FromGraphClause& f,
   // The catalog locks internally.
   if (f.url) {
     // FROM GRAPH g AT "url": resolve through the URL registry and bind the
-    // name (simulating an external graph store; see DESIGN.md).
+    // name (simulating an external graph store; see README, "Deliberate
+    // departures from the paper").
     GQL_ASSIGN_OR_RETURN(GraphPtr g, catalog_.ResolveUrl(*f.url));
     catalog_.RegisterGraph(f.name, g);
     graph_ = std::move(g);

@@ -133,8 +133,10 @@ using OperatorPtr = std::unique_ptr<Operator>;
 /// time.
 struct ExecContext {
   const PropertyGraph* graph = nullptr;
-  /// Keeps `graph` alive while a cached plan outlives the query (and, for
-  /// FROM GRAPH plans, while the catalog drops a named graph).
+  /// Keeps `graph` alive for the plan's lifetime. A cached plan reads only
+  /// the default graph and is rebound to each execution's snapshot; an
+  /// uncached FROM GRAPH plan pins a frozen catalog graph that a later
+  /// RegisterGraph may replace.
   std::shared_ptr<const PropertyGraph> graph_owner;
   EvalContext eval;
   MatchOptions match;

@@ -2,36 +2,21 @@
 
 namespace gqlite {
 
-bool PlanCache::Valid(const Entry& e, uint64_t catalog_version,
-                      uint64_t default_stats_version,
-                      uint64_t default_data_version) {
-  if (e.catalog_version != catalog_version) return false;
-  for (size_t i = 0; i < e.graph_guards.size(); ++i) {
-    // Default-graph contexts are rebound to the executing snapshot, so
-    // they validate against ITS versions — never the live graph's, which
-    // a concurrent writer may be moving.
-    bool is_default = i < e.default_ctx.size() && e.default_ctx[i];
-    const GraphGuard& g = e.graph_guards[i];
-    uint64_t stats = is_default ? default_stats_version
-                                : g.graph->stats_version();
-    if (stats != g.stats_version) return false;
-    // Structure unchanged — but enough pure property writes move the NDV
-    // sketches (and the equality selectivities baked into a
-    // cost-sensitive plan) to make the cached choice wrong.
-    uint64_t data = is_default ? default_data_version
-                               : g.graph->data_version();
-    uint64_t drift = data >= g.data_version ? data - g.data_version
-                                            : g.data_version - data;
-    if (drift >= kDataDriftThreshold) return false;
-  }
-  return true;
+bool PlanCache::Valid(const Entry& e, uint64_t stats_version,
+                      uint64_t data_version) {
+  if (stats_version != e.stats_version) return false;
+  // Structure unchanged — but enough pure property writes move the NDV
+  // sketches (and the equality selectivities baked into a cost-sensitive
+  // plan) to make the cached choice wrong.
+  uint64_t drift = data_version >= e.data_version
+                       ? data_version - e.data_version
+                       : e.data_version - data_version;
+  return drift < kDataDriftThreshold;
 }
 
 PlanCache::EntryPtr PlanCache::Acquire(const std::string& key,
-                                       uint64_t catalog_version,
-                                       uint64_t default_stats_version,
-                                       uint64_t default_data_version,
-                                       bool* busy) {
+                                       uint64_t stats_version,
+                                       uint64_t data_version, bool* busy) {
   MutexLock lock(&mu_);
   if (busy != nullptr) *busy = false;
   auto it = index_.find(key);
@@ -40,8 +25,7 @@ PlanCache::EntryPtr PlanCache::Acquire(const std::string& key,
     return nullptr;
   }
   EntryPtr e = *it->second;
-  if (!Valid(*e, catalog_version, default_stats_version,
-             default_data_version)) {
+  if (!Valid(*e, stats_version, data_version)) {
     lru_.erase(it->second);
     index_.erase(it);
     ++stats_.invalidations;
@@ -64,8 +48,8 @@ PlanCache::EntryPtr PlanCache::Acquire(const std::string& key,
 }
 
 PlanCache::EntryPtr PlanCache::InsertAcquire(
-    std::string key, PreparedPtr prepared, Plan plan, uint64_t catalog_version,
-    std::vector<GraphGuard> graph_guards, std::vector<bool> default_ctx) {
+    std::string key, PreparedPtr prepared, Plan plan, uint64_t stats_version,
+    uint64_t data_version) {
   MutexLock lock(&mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -78,9 +62,8 @@ PlanCache::EntryPtr PlanCache::InsertAcquire(
   e->key = std::move(key);
   e->prepared = std::move(prepared);
   e->plan = std::move(plan);
-  e->catalog_version = catalog_version;
-  e->graph_guards = std::move(graph_guards);
-  e->default_ctx = std::move(default_ctx);
+  e->stats_version = stats_version;
+  e->data_version = data_version;
   e->in_use = true;
   lru_.push_front(e);
   index_.emplace(e->key, lru_.begin());
@@ -92,22 +75,6 @@ void PlanCache::Release(const EntryPtr& entry) {
   if (entry == nullptr) return;
   MutexLock lock(&mu_);
   entry->in_use = false;
-}
-
-void PlanCache::SweepStale(uint64_t catalog_version,
-                           uint64_t default_stats_version,
-                           uint64_t default_data_version) {
-  MutexLock lock(&mu_);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (Valid(**it, catalog_version, default_stats_version,
-              default_data_version)) {
-      ++it;
-    } else {
-      index_.erase((*it)->key);
-      it = lru_.erase(it);
-      ++stats_.invalidations;
-    }
-  }
 }
 
 void PlanCache::Clear() {

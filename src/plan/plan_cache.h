@@ -7,7 +7,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/common/sync.h"
 #include "src/frontend/analyzer.h"
@@ -28,7 +27,8 @@ struct PreparedStatement {
   QueryInfo info;
   /// True if any clause is RETURN GRAPH (routes to the interpreter).
   bool has_return_graph = false;
-  /// Normalized query text — the structural part of the cache key.
+  /// Normalized query text — the cache key. Empty for statements that
+  /// bypass the cache.
   std::string text_key;
 };
 
@@ -40,63 +40,46 @@ struct PlanCacheStats {
   uint64_t misses = 0;         // no usable plan (includes invalidations
                                // and busy entries pinned by another session)
   uint64_t evictions = 0;      // LRU capacity evictions
-  uint64_t invalidations = 0;  // entries dropped because the graph catalog
-                               // or statistics changed since planning
+  uint64_t invalidations = 0;  // entries dropped because the default
+                               // graph's statistics changed since planning
 };
 
 /// A bounded LRU cache of compiled physical plans keyed on the normalized
 /// (auto-parameterized) query text. One cache serves one engine, whose
 /// options are fixed, so the text alone identifies the plan.
 ///
-/// Validity is generation-based: an entry records, for every graph its
-/// plan touches, the graph's stats_version at planning time (plans bake
-/// in cardinality statistics and the relationship-count bound for
-/// unbounded variable-length patterns), plus the catalog version (FROM
-/// GRAPH resolves names at planning time). A lookup that finds a stale
-/// entry drops it and reports a miss.
+/// Only default-graph plans are cached: statements that read a catalog
+/// graph (FROM GRAPH / QUERY GRAPH) get no cache key at Prepare. A cached
+/// plan bakes in no graph data — every context is rebound to the
+/// executing snapshot — only choices made from its statistics. Validity
+/// is therefore one pair of versions of the default graph, recorded at
+/// planning time:
+///  * stats_version, exact-match validated: label/type/degree statistics
+///    moved, so the plan's operator and order choices may be wrong;
+///  * data_version, drift-validated (|now - then| >= kDataDriftThreshold
+///    invalidates): pure property SETs move the NDV sketches — and with
+///    them the equality selectivities a cost-sensitive plan baked in —
+///    WITHOUT bumping stats_version, so enough of them must re-plan even
+///    though the structure is unchanged.
+/// A lookup that finds a stale entry drops it and reports a miss.
 ///
 /// Thread-safety: INTERNALLY LOCKED — every method takes mu_ itself, so
-/// any number of sessions may call concurrently (the PR-6 annotations
-/// planned exactly this flip). Entries are handed out PINNED: a plan's
-/// operator tree is a stateful single-use pipeline, so two executions
-/// must never share one entry. Acquire marks the entry in-use and a
-/// concurrent Acquire of the same key reports `busy` (the caller plans
-/// fresh and executes uncached); Release un-pins. Eviction, replacement,
-/// Clear and SweepStale may remove a pinned entry from the cache — the
+/// any number of sessions may call concurrently. Entries are handed out
+/// PINNED: a plan's operator tree is a stateful single-use pipeline, so
+/// two executions must never share one entry. Acquire marks the entry
+/// in-use and a concurrent Acquire of the same key reports `busy` (the
+/// caller plans fresh and executes uncached); Release un-pins. Eviction,
+/// replacement and Clear may remove a pinned entry from the cache — the
 /// executing session's shared_ptr keeps it alive until Release.
 class PlanCache {
  public:
-  /// Per-context validity guard: the graph a plan context was compiled
-  /// against and the versions observed at plan time. The shared_ptr also
-  /// pins graphs a stale catalog may have dropped, so borrowed pointers
-  /// inside the plan never dangle.
-  struct GraphGuard {
-    std::shared_ptr<const PropertyGraph> graph;
-    /// Structural version at plan time: exact-match validated (label/
-    /// type/degree statistics moved → the plan's operator and order
-    /// choices may be wrong).
-    uint64_t stats_version = 0;
-    /// Data version at plan time: drift-validated (|now - then| >=
-    /// kDataDriftThreshold invalidates). Pure property SETs move the
-    /// NDV sketches — and with them the equality selectivities a
-    /// cost-sensitive plan baked in — WITHOUT bumping stats_version, so
-    /// enough of them must re-plan even though the structure is
-    /// unchanged.
-    uint64_t data_version = 0;
-  };
-
   struct Entry {
     std::string key;
     PreparedPtr prepared;
     Plan plan;
-    uint64_t catalog_version = 0;
-    std::vector<GraphGuard> graph_guards;
-    /// guards[i] planned against the session's DEFAULT graph (as opposed
-    /// to a named/URL graph). Default-graph contexts are validated
-    /// against the *executing snapshot's* stats_version and rebound to it
-    /// per execution; named graphs are validated against the guard graph
-    /// itself.
-    std::vector<bool> default_ctx;
+    /// The default graph's versions at planning time (see class comment).
+    uint64_t stats_version = 0;
+    uint64_t data_version = 0;
     /// True while a session executes this plan (guarded by the cache
     /// mutex; never touch outside the cache).
     bool in_use = false;
@@ -119,40 +102,26 @@ class PlanCache {
 
   /// Looks up `key` and pins the entry for execution. Returns null when:
   ///  * absent (miss);
-  ///  * stale against `catalog_version` / its graph guards — default-graph
-  ///    contexts compare against `default_stats_version` and
-  ///    `default_data_version`, the executing snapshot's values (the
-  ///    entry is erased; invalidation + miss);
+  ///  * stale against `stats_version` / `data_version`, the executing
+  ///    snapshot's values (the entry is erased; invalidation + miss);
   ///  * present and valid but pinned by another session (`*busy` set to
   ///    true; miss) — the caller should plan fresh and skip InsertAcquire.
   /// On success the entry is promoted to most-recently-used, marked
   /// in-use, and counted as a hit; the caller MUST Release it.
-  EntryPtr Acquire(const std::string& key, uint64_t catalog_version,
-                   uint64_t default_stats_version,
-                   uint64_t default_data_version, bool* busy) EXCLUDES(mu_);
+  EntryPtr Acquire(const std::string& key, uint64_t stats_version,
+                   uint64_t data_version, bool* busy) EXCLUDES(mu_);
 
-  /// Inserts (or replaces) the entry for `key`, pinned for the caller's
+  /// Inserts (or replaces) the entry for `key`, planned against a default
+  /// graph at `stats_version` / `data_version`, pinned for the caller's
   /// execution; evicts the least recently used entry if over capacity.
   /// A displaced or evicted entry that is currently pinned simply drops
   /// out of the index — its executor still owns it. Caller MUST Release.
   EntryPtr InsertAcquire(std::string key, PreparedPtr prepared, Plan plan,
-                         uint64_t catalog_version,
-                         std::vector<GraphGuard> graph_guards,
-                         std::vector<bool> default_ctx) EXCLUDES(mu_);
+                         uint64_t stats_version, uint64_t data_version)
+      EXCLUDES(mu_);
 
   /// Un-pins an entry returned by Acquire/InsertAcquire.
   void Release(const EntryPtr& entry) EXCLUDES(mu_);
-
-  /// Drops every entry that can no longer validate against
-  /// `catalog_version` or its graph guards, releasing the graphs those
-  /// entries pin. Counted as invalidations. The engine calls this when
-  /// the catalog version moves, so replaced graphs are freed promptly
-  /// instead of lingering until their exact key is looked up again or
-  /// LRU-evicted. Default-graph contexts compare against
-  /// `default_stats_version` / `default_data_version` (the committed
-  /// head's values).
-  void SweepStale(uint64_t catalog_version, uint64_t default_stats_version,
-                  uint64_t default_data_version) EXCLUDES(mu_);
 
   /// Drops all entries (stats are kept; use ResetStats to clear them).
   void Clear() EXCLUDES(mu_);
@@ -173,9 +142,8 @@ class PlanCache {
   }
 
  private:
-  static bool Valid(const Entry& e, uint64_t catalog_version,
-                    uint64_t default_stats_version,
-                    uint64_t default_data_version);
+  static bool Valid(const Entry& e, uint64_t stats_version,
+                    uint64_t data_version);
   void EvictToCapacity() REQUIRES(mu_);
 
   /// Mutable so const reads (size, stats) lock through the same

@@ -596,16 +596,11 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
     cur_est = std::max(cur_est * mult, 0.001);
 
     if (rp.length) {
+      // No data-dependent bound: under edge isomorphism the BFS stops
+      // once no path can grow, so the plan bakes in no relationship count.
       HopRange range = EffectiveRange(rp, options_.match.max_var_length);
-      int64_t hi = range.hi;
-      if (range.unbounded &&
-          options_.match.morphism != Morphism::kHomomorphism) {
-        // Edge isomorphism bounds path length by the relationship count.
-        hi = std::min<int64_t>(hi,
-                               static_cast<int64_t>(graph_->NumRels()));
-      }
       state->tip = std::make_unique<VarLengthExpandOp>(
-          std::move(state->tip), ctx, std::move(spec), range.lo, hi);
+          std::move(state->tip), ctx, std::move(spec), range.lo, range.hi);
     } else if (cs.hash_join) {
       state->tip = std::make_unique<HashJoinExpandOp>(std::move(state->tip),
                                                       ctx, std::move(spec));

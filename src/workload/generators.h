@@ -11,7 +11,7 @@ namespace workload {
 
 /// Deterministic synthetic graph generators (all seeded) standing in for
 /// the production datasets the paper's §3 industry examples run on; see
-/// the substitution table in DESIGN.md.
+/// README, "Deliberate departures from the paper".
 
 /// A directed chain n0 -[:NEXT]-> n1 -> ... of `n` nodes labeled `label`,
 /// each with property idx = i. Used by variable-length path sweeps (E16).

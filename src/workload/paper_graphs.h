@@ -10,9 +10,9 @@ namespace workload {
 /// supervision and citation data), with the exact node/relationship
 /// numbering of the paper: `n[1]`..`n[10]` and `r[1]`..`r[11]` (index 0
 /// unused). Labels follow Figure 1 / the §3 walkthrough (Example 4.1 in
-/// the paper contains a label-swap erratum; see DESIGN.md). Relationship
-/// types are uppercase (AUTHORS, SUPERVISES, CITES) as used by the paper's
-/// queries.
+/// the paper contains a label-swap erratum; see README, "Deliberate
+/// departures from the paper"). Relationship types are uppercase
+/// (AUTHORS, SUPERVISES, CITES) as used by the paper's queries.
 struct PaperFigure1 {
   GraphPtr graph;
   NodeId n[11];

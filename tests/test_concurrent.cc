@@ -7,6 +7,10 @@
 // directly: every statement inside one read transaction observes the
 // same counts, no matter what the writer commits meanwhile.
 //
+// The mix also reads a named graph registered from the head's own
+// object: it is a frozen value, so its count never moves while the
+// writer commits, and reading it never touches the writer's pages.
+//
 // The sanitizer CI legs reshape rather than skip this: under
 // GQLITE_THREADS=4 (the TSan leg) every session engine execution also
 // fans out over the shared worker pool, so the harness doubles as a
@@ -14,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,16 +33,22 @@ constexpr int kReaderThreads = 4;
 constexpr int kReaderRounds = 4;
 constexpr int kWriterCommits = 12;
 
-// The read mix: aggregation, property projection, expansion, filter.
+constexpr int64_t kSeededNodes = 12;
+
+// The read mix: aggregation, property projection, expansion, filter, and
+// a count over the named graph `start` (the seeded state, frozen).
+constexpr std::string_view kStartCount =
+    "FROM GRAPH start MATCH (n) RETURN count(n) AS c";
 const char* const kReadQueries[] = {
     "MATCH (n) RETURN count(n) AS c",
     "MATCH (p:Person) RETURN p.id AS id, p.score AS s",
     "MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN a.id AS a, b.id AS b",
     "MATCH (p:Person) WHERE p.score > 4 RETURN count(p) AS hi",
+    kStartCount.data(),
 };
 
 void SeedGraph(Database* db) {
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < kSeededNodes; ++i) {
     std::string q = "CREATE (:Person {id: " + std::to_string(i) +
                     ", score: " + std::to_string(i % 9) + "})";
     ASSERT_TRUE(db->Execute(q).ok());
@@ -49,13 +60,20 @@ void SeedGraph(Database* db) {
 }
 
 TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
-  Database db = testutil::OpenOn();
+  // The test holds the head's object `g`. Before any thread starts, take
+  // the oracles' copy of the seeded state, then register `g` itself as
+  // `start`: the catalog must store a frozen value, never `g`, which the
+  // writer thread goes on to mutate.
+  auto g = std::make_shared<PropertyGraph>();
+  Database db = testutil::OpenOn(g);
   SeedGraph(&db);
+  GraphPtr frozen = g->Snapshot();
+  db.RegisterGraph("start", g);
 
   std::vector<std::thread> readers;
   readers.reserve(kReaderThreads);
   for (int t = 0; t < kReaderThreads; ++t) {
-    readers.emplace_back([&db, t] {
+    readers.emplace_back([&db, &frozen, t] {
       // One serial oracle per round: interpreter mode, opened on the
       // pinned snapshot. Frozen snapshots are safe to share as a
       // starting graph (reads never mutate them, and the database
@@ -70,6 +88,7 @@ TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
         ASSERT_NE(snap, nullptr);
         ASSERT_TRUE(snap->frozen());
         Database oracle = testutil::OpenOn(snap, oracle_opts);
+        oracle.RegisterGraph("start", frozen);
 
         int64_t pinned_nodes = -1;
         for (const char* q : kReadQueries) {
@@ -83,6 +102,11 @@ TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
               << "reader " << t << " round " << round << " diverges on \""
               << q << "\"\noracle:\n" << want->table.ToString()
               << "session:\n" << got->table.ToString();
+          if (q == kStartCount) {
+            EXPECT_EQ(got->table.rows()[0][0].AsInt(), kSeededNodes)
+                << "reader " << t << " round " << round
+                << ": the named graph moved with the writer";
+          }
         }
         // Isolation invariant: the pinned count never moves within the
         // transaction, however many commits land meanwhile.
@@ -141,7 +165,8 @@ TEST(Concurrent, SnapshotReadersMatchSerialOracleUnderWriter) {
   }
   auto fin = db.Execute("MATCH (n) RETURN count(n) AS c");
   ASSERT_TRUE(fin.ok());
-  EXPECT_EQ(fin->table.rows()[0][0].AsInt(), 12 + created - deleted);
+  EXPECT_EQ(fin->table.rows()[0][0].AsInt(),
+            kSeededNodes + created - deleted);
 }
 
 TEST(Concurrent, AutoCommitWritersSerializeByWaiting) {

@@ -262,14 +262,28 @@ TEST(GraphStatistics, Counts) {
 TEST(GraphCatalog, ResolveByNameAndUrl) {
   // The catalog locks internally; no external MutexLock needed.
   GraphCatalog cat;
-  EXPECT_TRUE(cat.HasGraph(GraphCatalog::kDefaultGraphName));
   auto g = std::make_shared<PropertyGraph>();
+  g->CreateNode({"V"});
   cat.RegisterGraph("soc_net", g);
   cat.RegisterUrl("hdfs://cluster/soc_network", g);
-  ASSERT_TRUE(cat.Resolve("soc_net").ok());
-  EXPECT_EQ(cat.Resolve("soc_net").value().get(), g.get());
-  EXPECT_EQ(cat.ResolveUrl("hdfs://cluster/soc_network").value().get(),
-            g.get());
+  Result<GraphPtr> by_name = cat.Resolve("soc_net");
+  Result<GraphPtr> by_url = cat.ResolveUrl("hdfs://cluster/soc_network");
+  ASSERT_TRUE(by_name.ok());
+  ASSERT_TRUE(by_url.ok());
+  // Registered graphs are frozen values: a write to `g` after
+  // registration never shows through the name or the URL.
+  EXPECT_TRUE((*by_name)->frozen());
+  EXPECT_TRUE((*by_url)->frozen());
+  g->CreateNode({"V"});
+  EXPECT_EQ((*by_name)->NumNodes(), 1u);
+  EXPECT_EQ((*by_url)->NumNodes(), 1u);
+  EXPECT_EQ(cat.Resolve("soc_net").value()->NumNodes(), 1u);
+  // A frozen graph is stored as is.
+  GraphPtr frozen = g->Snapshot();
+  cat.RegisterGraph("frozen", frozen);
+  EXPECT_EQ(cat.Resolve("frozen").value(), frozen);
+  // The default graph is not a catalog entry.
+  EXPECT_FALSE(cat.Resolve("default").ok());
   EXPECT_FALSE(cat.Resolve("nope").ok());
   EXPECT_FALSE(cat.ResolveUrl("bolt://nope").ok());
 }
@@ -281,7 +295,8 @@ TEST(PaperGraphs, Figure1MatchesExample41) {
   const PropertyGraph& g = *f.graph;
   EXPECT_EQ(g.NumNodes(), 10u);
   EXPECT_EQ(g.NumRels(), 11u);
-  // Labels per Figure 1 (Example 4.1's swap is an erratum; see DESIGN.md).
+  // Labels per Figure 1 (Example 4.1's swap is an erratum; see README,
+  // "Deliberate departures from the paper").
   for (int i : {1, 6, 10}) EXPECT_TRUE(g.NodeHasLabel(f.n[i], "Researcher"));
   for (int i : {7, 8}) EXPECT_TRUE(g.NodeHasLabel(f.n[i], "Student"));
   for (int i : {2, 3, 4, 5, 9}) {

@@ -15,7 +15,6 @@ class ClauseTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fig4_ = workload::MakePaperFigure4Graph();
-    catalog_.RegisterGraph(GraphCatalog::kDefaultGraphName, fig4_.graph);
   }
 
   /// Applies the first clause of "<<clause>> RETURN 1" to `input`.

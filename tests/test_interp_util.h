@@ -20,7 +20,6 @@ inline Result<Table> RunInterp(GraphPtr graph, const std::string& query,
   GQL_ASSIGN_OR_RETURN(QueryInfo info, Analyze(q));
   (void)info;
   GraphCatalog catalog;
-  catalog.RegisterGraph(GraphCatalog::kDefaultGraphName, graph);
   uint64_t rand_state = 0xC0FFEE;
   Interpreter::Options opts;
   opts.match = match_opts;

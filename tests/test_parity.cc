@@ -1,4 +1,4 @@
-// Property/parity tests (DESIGN.md §7): the reference interpreter (the
+// Property/parity tests: the reference interpreter (the
 // paper's formal semantics, §4) and the Volcano runtime (§2 "Neo4j
 // implementation") must produce identical result *bags* on a corpus of
 // read queries over randomized graphs — and the cost planner's plans must
@@ -77,11 +77,10 @@ const char* kCorpus[] = {
 };
 
 // Plans with the Planner and drains with ExecutePlan — the layer this
-// harness tests, below Database — on a catalog holding just `graph`.
+// harness tests, below Database — on `graph` with an empty catalog.
 Result<Table> PlanAndDrain(const GraphPtr& graph, const ast::Query& q,
                            PlannerOptions opts, uint64_t rand_state) {
   GraphCatalog catalog;
-  catalog.RegisterGraph(GraphCatalog::kDefaultGraphName, graph);
   ValueMap params;
   // Below Database, the harness must honor the CI morsel-size override
   // itself (the batch-size-1 sanitizer leg relies on this corpus walking

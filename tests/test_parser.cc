@@ -112,7 +112,7 @@ TEST(Parser, PaperIndustryQueries) {
       "RETURN svc, count(DISTINCT dep) AS dependents "
       "ORDER BY dependents DESC LIMIT 1");
   // §3 fraud detection (with the paper's fraudRing filter corrected to the
-  // aliased name; see DESIGN.md).
+  // aliased name; see README, "Deliberate departures from the paper").
   const char* q = R"(
     MATCH (accHolder:AccountHolder)-[:HAS]->(pInfo)
     WHERE pInfo:SSN OR pInfo:PhoneNumber OR pInfo:Address

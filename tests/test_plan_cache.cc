@@ -1,8 +1,8 @@
 // Plan-cache subsystem tests: auto-parameterized key normalization, LRU
-// eviction order, generation-based invalidation (graph statistics and the
-// named-graph catalog), counter correctness, Prepare/Execute semantics,
-// and the guarantee that synthetic `$_pN` names never collide with user
-// parameters.
+// eviction order, generation-based invalidation (the default graph's
+// statistics), FROM GRAPH statements bypassing the cache, counter
+// correctness, Prepare/Execute semantics, and the guarantee that
+// synthetic `$_pN` names never collide with user parameters.
 
 #include <gtest/gtest.h>
 
@@ -263,22 +263,54 @@ TEST(PlanCache, LabelChangesInvalidate) {
   EXPECT_GE(db.engine().plan_cache_stats().invalidations, 1u);
 }
 
-TEST(PlanCache, CatalogRebindInvalidates) {
+TEST(PlanCache, FromGraphStatementsBypassTheCache) {
+  // Only default-graph plans are cached: a FROM GRAPH statement gets no
+  // cache key, never hits, and sees a rebinding of its name at once.
   Database db = testutil::OpenOn();
   auto other = std::make_shared<PropertyGraph>();
   other->CreateNode({"A"}, {});
   db.RegisterGraph("g", other);
   const std::string q = "FROM GRAPH g MATCH (a:A) RETURN count(*) AS c";
+  auto stmt = db.Prepare(q);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_TRUE(stmt->normalized_text().empty());
   EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
   EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 1);
-  EXPECT_EQ(db.engine().plan_cache_stats().hits, 1u);
-  // Rebinding the name to a different graph must stale the plan.
   auto replacement = std::make_shared<PropertyGraph>();
   replacement->CreateNode({"A"}, {});
   replacement->CreateNode({"A"}, {});
   db.RegisterGraph("g", replacement);
   EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 2);
-  EXPECT_GE(db.engine().plan_cache_stats().invalidations, 1u);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, 0u);
+  EXPECT_EQ(db.engine().plan_cache().size(), 0u);
+}
+
+TEST(PlanCache, CachedVarLengthPlanBakesNoRelationshipCount) {
+  // A cached plan is validated by the default graph's versions, which a
+  // rollback can bring back with different data: the plan must bake in
+  // nothing derived from the data, such as a relationship count bounding
+  // an unbounded `*`. (:S)->a->b plus a loose c.
+  Database db = testutil::OpenOn();
+  MustRun(db,
+          "CREATE (:S)-[:T]->({name: 'a'})-[:T]->({name: 'b'}), "
+          "({name: 'c'})");
+  const std::string q = "MATCH (:S)-[:T*]->(x) RETURN count(x) AS c";
+  // Plan and cache the query inside a write transaction that deleted a
+  // relationship (one relationship left), then roll back.
+  auto writer = db.CreateSession();
+  ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
+  ASSERT_TRUE(
+      writer->Execute("MATCH ({name: 'a'})-[r:T]->() DELETE r").ok());
+  auto inside = writer->Execute(q);
+  ASSERT_TRUE(inside.ok()) << inside.status().ToString();
+  EXPECT_EQ(inside->table.rows()[0][0].AsInt(), 1);
+  ASSERT_TRUE(writer->Rollback().ok());
+  // One relationship create brings the statistics back to the cached
+  // plan's version, now with three relationships.
+  MustRun(db, "MATCH (b {name: 'b'}), (c {name: 'c'}) CREATE (b)-[:T]->(c)");
+  uint64_t hits = db.engine().plan_cache_stats().hits;
+  EXPECT_EQ(MustRun(db, q).table.rows()[0][0].AsInt(), 3);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, hits + 1);
 }
 
 TEST(PlanCache, DisabledCacheStillAnswers) {
@@ -360,23 +392,23 @@ TEST(PlanCache, FloatLiteralsBeyondDisplayPrecisionDoNotCollide) {
   EXPECT_EQ(db.engine().plan_cache().size(), 2u);
 }
 
-TEST(PlanCache, SweepReleasesStaleEntriesOnCatalogChange) {
+TEST(PlanCache, RollbackKeepsCachedPlansValid) {
+  // A rollback restores the committed state the cached plan was planned
+  // on, so the plan still hits — and reads the restored graph, not the
+  // abandoned head.
   Database db = testutil::OpenOn();
   MustRun(db, "CREATE ({v: 1})");
-  MustRun(db, "MATCH (n) RETURN n.v AS v");
+  const std::string q = "MATCH (n) RETURN n.v AS v";
+  MustRun(db, q);
   EXPECT_EQ(db.engine().plan_cache().size(), 1u);
-  // A write rollback re-registers the restored default graph, which
-  // strands the entry; the next read query (any key) sweeps it so the
-  // abandoned head is released promptly.
   auto writer = db.CreateSession();
   ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
   ASSERT_TRUE(writer->Execute("CREATE ({v: 2})").ok());
   ASSERT_TRUE(writer->Rollback().ok());
-  MustRun(db, "MATCH (m) RETURN count(*) AS c");
-  EXPECT_EQ(db.engine().plan_cache().size(), 1u);  // stale entry swept
-  EXPECT_GE(db.engine().plan_cache_stats().invalidations, 1u);
-  // And queries actually see the restored default graph.
-  auto r = MustRun(db, "MATCH (n) RETURN n.v AS v");
+  uint64_t hits = db.engine().plan_cache_stats().hits;
+  auto r = MustRun(db, q);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, hits + 1);
+  EXPECT_EQ(db.engine().plan_cache_stats().invalidations, 0u);
   ASSERT_EQ(r.table.NumRows(), 1u);
   EXPECT_EQ(r.table.rows()[0][0].AsInt(), 1);
 }

@@ -184,7 +184,8 @@ TEST_F(ProjectionTest, CollectPreservesInputOrderWithinGroup) {
 }
 
 TEST_F(ProjectionTest, UnwindNonListYieldsSingleRow) {
-  // The paper's Figure 7 rule (including the null case; DESIGN.md).
+  // The paper's Figure 7 rule (including the null case; see README,
+  // "Deliberate departures from the paper").
   Table t = Run("UNWIND 42 AS x RETURN x");
   ASSERT_EQ(t.NumRows(), 1u);
   EXPECT_EQ(t.rows()[0][0].AsInt(), 42);

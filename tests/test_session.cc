@@ -389,5 +389,76 @@ TEST(Session, ReadTransactionPinsCatalogBindings) {
   EXPECT_EQ(after->table.rows()[0][0].AsInt(), 2);
 }
 
+int64_t Count(Database* db, const std::string& q) {
+  auto r = db->Execute(q);
+  EXPECT_TRUE(r.ok()) << q << "\n  " << r.status().ToString();
+  return r.ok() ? r->table.rows()[0][0].AsInt() : -1;
+}
+
+TEST(Session, NamedGraphIsAFrozenValueNeverTheLiveHead) {
+  // Registering the default graph's own object under a name stores a
+  // frozen copy of its state at the call, not an alias of the live head:
+  // an open writer's uncommitted node and its rollback both leave the
+  // name untouched.
+  auto head = std::make_shared<PropertyGraph>();
+  Database db = testutil::OpenOn(head);
+  db.RegisterGraph("alias", head);
+  const std::string on_alias =
+      "FROM GRAPH alias MATCH (n:X) RETURN count(n) AS c";
+  const std::string on_default = "MATCH (n:X) RETURN count(n) AS c";
+
+  auto writer = db.CreateSession();
+  ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
+  ASSERT_TRUE(writer->Execute("CREATE (:X)").ok());
+  EXPECT_EQ(Count(&db, on_alias), 0);
+  EXPECT_EQ(Count(&db, on_default), 0);
+
+  // The default graph is not a catalog entry: `FROM GRAPH default` cannot
+  // reach the writer's uncommitted head, in auto-commit or in a read
+  // transaction begun during the write.
+  const std::string via_default_q =
+      "FROM GRAPH default MATCH (n:X) RETURN count(n) AS c";
+  auto via_default = db.Execute(via_default_q);
+  EXPECT_EQ(via_default.status().code(), StatusCode::kNotFound);
+  auto reader = db.CreateSession();
+  ASSERT_TRUE(reader->Begin(TxnMode::kRead).ok());
+  auto pinned = reader->Execute(on_default);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(pinned->table.rows()[0][0].AsInt(), 0);
+  auto pinned_default = reader->Execute(via_default_q);
+  EXPECT_EQ(pinned_default.status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(reader->Commit().ok());
+
+  ASSERT_TRUE(writer->Rollback().ok());
+  EXPECT_EQ(Count(&db, on_alias), 0);
+  EXPECT_EQ(Count(&db, on_default), 0);
+}
+
+TEST(Session, UpdatesToANamedGraphAreRefused) {
+  // Named graphs live outside the writer slot, the WAL and rollback, so
+  // an updating clause on one is refused instead of writing shared
+  // pages that no rollback could restore.
+  Database db = testutil::OpenOn();
+  auto g = std::make_shared<PropertyGraph>();
+  db.RegisterGraph("g", g);
+  const std::string on_g = "FROM GRAPH g MATCH (n:X) RETURN count(n) AS c";
+
+  auto writer = db.CreateSession();
+  ASSERT_TRUE(writer->Begin(TxnMode::kWrite).ok());
+  auto in_txn = writer->Execute("FROM GRAPH g CREATE (:X)");
+  EXPECT_EQ(in_txn.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(in_txn.status().message().find("read-only"), std::string::npos)
+      << in_txn.status().ToString();
+  ASSERT_TRUE(writer->Rollback().ok());
+  EXPECT_EQ(Count(&db, on_g), 0);
+
+  auto auto_commit = db.Execute("FROM GRAPH g MERGE (:X)");
+  EXPECT_EQ(auto_commit.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Count(&db, on_g), 0);
+  // Neither attempt wrote the default graph or the caller's object.
+  EXPECT_EQ(CountNodes(&db), 0);
+  EXPECT_EQ(g->NumNodes(), 0u);
+}
+
 }  // namespace
 }  // namespace gqlite
