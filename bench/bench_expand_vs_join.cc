@@ -1,4 +1,4 @@
-// Experiment E14 (DESIGN.md): the paper's claim about the Expand operator
+// Experiment E14 (README.md): the paper's claim about the Expand operator
 // (§2): "it utilizes the fact that the data representation … contains
 // direct references from each node via its edges to the related nodes.
 // This means that Expand never needs to read any unnecessary data, or

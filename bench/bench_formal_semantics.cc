@@ -1,4 +1,4 @@
-// Experiments E9–E12 (DESIGN.md): the formal-semantics examples of §4 on
+// Experiments E9–E12 (README.md): the formal-semantics examples of §4 on
 // the Figure 4 graph — rigid satisfaction (Examples 4.2/4.3),
 // variable-length satisfaction and bag multiplicity (4.4/4.5), the
 // driving-table semantics of Example 4.6, and the §4.2 self-loop

@@ -1,4 +1,4 @@
-// Experiment E8 (DESIGN.md): the §3 fraud-detection query — shared
+// Experiment E8 (README.md): the §3 fraud-detection query — shared
 // personal information across account holders — swept over dataset size
 // and ring density. Exercises label-disjunction predicates (pInfo:SSN OR
 // …), collect(), count(*) grouping and the WITH … WHERE filter.

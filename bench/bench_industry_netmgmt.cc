@@ -1,4 +1,4 @@
-// Experiment E7 (DESIGN.md): the §3 network-management query — "the
+// Experiment E7 (README.md): the §3 network-management query — "the
 // component that is depended upon — both directly and indirectly — by the
 // largest number of entities" — on layered data-center graphs of growing
 // depth and width. The variable-length DEPENDS_ON* dominates; cost grows

@@ -1,4 +1,4 @@
-// Experiments E12–E13 (DESIGN.md): configurable pattern-matching
+// Experiments E12–E13 (README.md): configurable pattern-matching
 // morphisms (§8 future work; §4.2 complexity discussion). Cypher 9's
 // relationship isomorphism keeps variable-length result sets finite; the
 // homomorphism alternative explodes (we cap it), and node isomorphism

@@ -1,4 +1,4 @@
-// Experiment E18 (DESIGN.md): Cypher 10 multiple graphs and query
+// Experiment E18 (README.md): Cypher 10 multiple graphs and query
 // composition (§6, Example 6.1) — the friend-sharing projection and the
 // composed same-city filter, swept over social-network size. Also
 // verifies the projected graph's shape once before timing.

@@ -1,4 +1,4 @@
-// Experiments E1–E6 (DESIGN.md): regenerates every table the paper prints
+// Experiments E1–E6 (README.md): regenerates every table the paper prints
 // for the §3 worked example — Figure 2a, Figure 2b, the two inline
 // binding tables, and the final result — and checks them cell by cell
 // against the paper. Exits non-zero on any mismatch.

@@ -1,4 +1,4 @@
-// Experiment E20 (DESIGN.md): frontend throughput over a corpus covering
+// Experiment E20 (README.md): frontend throughput over a corpus covering
 // the Figure 3 and Figure 5 grammars — tokenizer, parser, analyzer and
 // the unparse round-trip.
 

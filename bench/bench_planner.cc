@@ -1,4 +1,4 @@
-// Experiment E15 (DESIGN.md): execution-strategy ablation. The paper
+// Experiment E15 (README.md): execution-strategy ablation. The paper
 // stresses that the clause order "is understood purely declaratively —
 // implementations are free to re-order the execution of clauses if this
 // does not change the semantics" (§2) and describes Neo4j's cost-based

@@ -8,9 +8,15 @@
 // BM_SnapshotPin isolates the per-transaction cost the MVCC layer adds:
 // Begin(kRead) + one query + Commit against a quiescent engine, vs the
 // same query auto-committed.
+//
+// BM_WriteTxnAtGraphSize measures how a write transaction's cost grows
+// with the graph: the /200000 row should stay within a few times the
+// /20000 row (CI fails the job above 5x).
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,6 +166,53 @@ void BM_CommitUnderPinnedSnapshot(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CommitUnderPinnedSnapshot);
+
+/// Write-transaction cost against graph size: Begin(kWrite) + one
+/// property SET on the head + Commit, on range(0) Persons with 8 KNOWS
+/// each. Each Begin after a commit snapshots the committed state, so the
+/// row tracks what a snapshot costs at that size. The graph is built once
+/// per size; every run opens on a copy-on-write clone of it.
+/// Items = write transactions.
+void BM_WriteTxnAtGraphSize(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  static std::map<size_t, std::shared_ptr<const PropertyGraph>> built;
+  std::shared_ptr<const PropertyGraph>& base = built[n];
+  if (base == nullptr) {
+    PropertyGraph g;
+    for (size_t i = 0; i < n; ++i) {
+      g.CreateNode({"Person"}, {{"id", Value::Int(static_cast<int64_t>(i))}});
+    }
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t k = 1; k <= 8; ++k) {
+        NodeId known{(i + k * 7919) % n};
+        if (!g.CreateRelationship(NodeId{i}, known, "KNOWS").ok()) {
+          state.SkipWithError("graph build failed");
+          return;
+        }
+      }
+    }
+    base = g.Snapshot();
+  }
+  Database db = bench::MakeDatabase(base->Clone());
+  auto session = db.CreateSession();
+  size_t i = 0;
+  for (auto _ : state) {
+    if (!session->Begin(TxnMode::kWrite).ok()) {
+      state.SkipWithError("writer Begin failed");
+      return;
+    }
+    session->graph()->SetNodeProperty(NodeId{i % n}, "score",
+                                      Value::Int(static_cast<int64_t>(i)));
+    ++i;
+    if (!session->Commit().ok()) {
+      state.SkipWithError("Commit failed");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WriteTxnAtGraphSize)->Arg(20000)->Arg(200000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace gqlite

@@ -1,4 +1,4 @@
-// Experiment E19 (DESIGN.md): Cypher 10 temporal types (§6) — parse,
+// Experiment E19 (README.md): Cypher 10 temporal types (§6) — parse,
 // format, compare and add micro-benchmarks, plus an end-to-end query mix.
 
 #include <benchmark/benchmark.h>

@@ -1,4 +1,4 @@
-// Experiment E17 (DESIGN.md): the update language of §2 — CREATE / SET /
+// Experiment E17 (README.md): the update language of §2 — CREATE / SET /
 // MERGE throughput, and MERGE's match-vs-create asymmetry (the same MERGE
 // is a read when the pattern exists and a write when it does not).
 

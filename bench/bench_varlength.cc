@@ -1,4 +1,4 @@
-// Experiment E16 (DESIGN.md): variable-length path matching ("essentially
+// Experiment E16 (README.md): variable-length path matching ("essentially
 // transitive closure", §2) — range sweeps on chains and grids, plus the
 // zero-length lower bound and the unbounded `*` on DAGs. The interesting
 // shape: work grows with the number of rigid refinements × paths, and the

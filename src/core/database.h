@@ -90,7 +90,8 @@ class Database {
   Result<PreparedQuery> Prepare(std::string_view query) {
     return engine_->Prepare(query);
   }
-  /// Renders the physical plan for a read query.
+  /// Renders the physical plan for a read query. Runs nothing and binds
+  /// nothing: a `FROM GRAPH x AT "url"` leaves `x` unregistered.
   Result<std::string> Explain(std::string_view query,
                               const ValueMap& params = {}) {
     return engine_->Explain(query, params);
@@ -102,7 +103,7 @@ class Database {
   }
 
   /// Registers a named graph in the catalog (`FROM GRAPH name ...`) as a
-  /// frozen value: a mutable `g` is snapshotted (O(pages)), so later
+  /// frozen value: a mutable `g` is snapshotted (O(slots/4096)), so later
   /// writes to `g` never show through the name, and no thread may mutate
   /// `g` during the call. The name is read-only: an updating clause after
   /// `FROM GRAPH name` fails with kInvalidArgument. The default graph is

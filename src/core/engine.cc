@@ -499,9 +499,16 @@ Result<std::string> CypherEngine::Explain(std::string_view query,
         "EXPLAIN of updating queries is not supported (they run on the "
         "clause interpreter)");
   }
+  // Plan against a throwaway copy of the catalog: it resolves the same
+  // graphs, but the name a FROM GRAPH ... AT binds lands in the copy, so
+  // EXPLAIN leaves the catalog as it found it.
+  std::shared_ptr<const CatalogSnapshot> bindings = catalog_.Capture();
+  GraphCatalog copy;
+  for (const auto& [name, g] : bindings->graphs) copy.RegisterGraph(name, g);
+  for (const auto& [url, g] : bindings->urls) copy.RegisterUrl(url, g);
   RandScope rand(this);
-  return ExplainQuery(&catalog_, ReadSnapshot(), &params,
-                      MakePlannerOptions(), rand.get(), q);
+  return ExplainQuery(&copy, ReadSnapshot(), &params, MakePlannerOptions(),
+                      rand.get(), q);
 }
 
 }  // namespace gqlite

@@ -272,7 +272,8 @@ class CypherEngine {
   /// database fail.
   Status Close();
 
-  /// Renders the physical plan for a read query (Volcano operators).
+  /// Renders the physical plan for a read query (Volcano operators),
+  /// planned against a copy of the catalog so it registers no name.
   Result<std::string> Explain(std::string_view query,
                               const ValueMap& params = {});
 

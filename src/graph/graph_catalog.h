@@ -34,7 +34,7 @@ struct CatalogSnapshot {
 /// Every graph has one owner. The engine's transaction core owns the
 /// default graph, which is not in the catalog. The catalog holds named and
 /// URL graphs only, and each is a frozen value: registering a mutable
-/// graph stores a snapshot of it (O(pages)), so later writes to the
+/// graph stores a snapshot of it (O(slots/4096)), so later writes to the
 /// caller's object never show through the name, and nothing reachable
 /// through the catalog can be written.
 ///
@@ -60,8 +60,8 @@ class GraphCatalog {
   /// Resolves a graph by name.
   Result<GraphPtr> Resolve(std::string_view name) const EXCLUDES(mu_);
 
-  /// Resolves a graph by URL (FROM GRAPH g AT "url"); registers the result
-  /// under `name` as a side effect when called through the engine.
+  /// Resolves a graph by URL (FROM GRAPH g AT "url"); executing such a
+  /// statement (or PROFILE) also registers the result under `g`.
   Result<GraphPtr> ResolveUrl(std::string_view url) const EXCLUDES(mu_);
 
   /// Copies the current bindings for per-transaction pinning (see

@@ -110,39 +110,48 @@ double PropertyGraph::RelPropertyNdv(std::string_view key) const {
 
 // ---- Copy-on-write plumbing ------------------------------------------------
 
+namespace {
+// Out of line, so that Owned's ownership test inlines into every slot
+// write: a call per directory level slowed relationship creation ~10 %.
+template <typename T>
+[[gnu::noinline]] std::shared_ptr<T> CopyOf(const T& payload) {
+  return std::make_shared<T>(payload);
+}
+}  // namespace
+
+template <typename T>
+T* PropertyGraph::Owned(Cow<T>* c) {
+  if (c->epoch != epoch_) {
+    // Some snapshot/clone may share this payload: write to a private copy.
+    c->payload = CopyOf(*c->payload);
+    c->epoch = epoch_;
+  }
+  return c->payload.get();
+}
+
 template <typename Rec>
 Rec* PropertyGraph::MutableSlot(PageVec<Rec>* pages, size_t id) {
   AssertMutable();
-  auto& page = (*pages)[id >> kPageBits];
-  if (page.epoch != epoch_) {
-    // Some snapshot/clone may share this payload: write to a private copy.
-    page.payload = std::make_shared<std::vector<Rec>>(*page.payload);
-    page.epoch = epoch_;
-  }
-  return &(*page.payload)[id & kPageMask];
+  // A cloned leaf keeps its page tags, which predate epoch_, so the page
+  // is cloned too.
+  Leaf<Rec>* leaf = Owned(&(*pages)[id >> kLeafBits]);
+  return &(*Owned(&(*leaf)[(id >> kPageBits) & kDirMask]))[id & kPageMask];
 }
 
 template <typename Rec>
 Rec* PropertyGraph::AppendSlot(PageVec<Rec>* pages, size_t* slots) {
   AssertMutable();
   size_t id = (*slots)++;
-  if ((id & kPageMask) == 0) {
-    // First slot of a fresh page.
-    auto& page = pages->emplace_back();
-    page.payload = std::make_shared<std::vector<Rec>>();
-    page.payload->reserve(kPageSize);
-    page.epoch = epoch_;
-    page.payload->emplace_back();
-    return &page.payload->back();
+  if ((id & kPageMask) != 0) return MutableSlot(pages, id);
+  size_t page_index = (id >> kPageBits) & kDirMask;
+  if (page_index == 0) {
+    // First slot of a fresh leaf.
+    pages->push_back({std::make_shared<Leaf<Rec>>(), epoch_});
   }
-  auto& page = pages->back();
-  if (page.epoch != epoch_) {
-    page.payload = std::make_shared<std::vector<Rec>>(*page.payload);
-    page.payload->reserve(kPageSize);
-    page.epoch = epoch_;
-  }
-  page.payload->emplace_back();
-  return &page.payload->back();
+  // First slot of a fresh page, hung in the (private) tail leaf.
+  auto& page = (*Owned(&pages->back()))[page_index];
+  page = {std::make_shared<Page<Rec>>(), epoch_};
+  return &(*page.payload)[0];
 }
 
 std::vector<NodeId>* PropertyGraph::MutablePosting(SymbolId s) {
@@ -151,11 +160,8 @@ std::vector<NodeId>* PropertyGraph::MutablePosting(SymbolId s) {
   if (!entry.payload) {
     entry.payload = std::make_shared<std::vector<NodeId>>();
     entry.epoch = epoch_;
-  } else if (entry.epoch != epoch_) {
-    entry.payload = std::make_shared<std::vector<NodeId>>(*entry.payload);
-    entry.epoch = epoch_;
   }
-  return entry.payload.get();
+  return Owned(&entry);
 }
 
 PropertyGraph::PropertyGraph(const PropertyGraph& other, bool frozen)

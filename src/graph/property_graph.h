@@ -42,19 +42,21 @@ using PropertyList = std::vector<std::pair<std::string, Value>>;
 ///
 /// ## Versioned snapshots (MVCC substrate)
 ///
-/// Node/relationship slots live in fixed-size copy-on-write pages
-/// (kPageSize records behind a shared_ptr), and the label index holds one
-/// shared posting list per label (a Cow<std::vector<NodeId>>, not paged).
-/// Snapshot() produces a new PropertyGraph that SHARES every page and
-/// posting list with this one: it copies O(slots/kPageSize) page pointers
-/// plus schema-sized state (interners, one posting pointer per label, the
-/// count and statistics maps). After a snapshot, the first mutation
-/// touching a page clones just that page (epoch-tagged: a payload is
-/// written in place only while this graph object owns it exclusively), so
+/// Node/relationship slots live in a two-level copy-on-write directory: a
+/// plain vector of leaves, each leaf a fixed array of kDirSize page
+/// pointers, each page a fixed array of kPageSize records (so one leaf
+/// covers 4,096 slots). The label index holds one shared posting list per
+/// label (a Cow<std::vector<NodeId>>, not paged). Snapshot() produces a
+/// new PropertyGraph that SHARES every leaf, page and posting list with
+/// this one: it copies O(slots/4096) leaf pointers plus schema-sized
+/// state (interners, one posting pointer per label, the count and
+/// statistics maps). After a snapshot, the first mutation touching a slot
+/// clones just its leaf and its page (epoch-tagged: a payload is written
+/// in place only while this graph object owns it exclusively), so
 ///  * a snapshot is deeply immutable — reader threads traverse it without
 ///    any locking while the live graph keeps committing, and
-///  * the live graph pays slot-page copies proportional to the pages it
-///    writes. Posting lists are the exception: after a snapshot, the
+///  * the live graph pays leaf and page copies proportional to the slots
+///    it writes. Posting lists are the exception: after a snapshot, the
 ///    first create, delete, label or unlabel of a node carrying a label
 ///    copies that label's whole posting list.
 /// Snapshots are frozen: mutators on a frozen graph fail (Status-returning
@@ -82,15 +84,16 @@ class PropertyGraph {
   // ---- Versioned snapshots -------------------------------------------------
 
   /// An immutable snapshot of this graph's current state, sharing slot
-  /// pages copy-on-write. Cheap (page-pointer vector + interner clone);
-  /// safe to read from any number of threads while this graph keeps
-  /// mutating. Marks every current page frozen, so subsequent writes to
-  /// this graph clone the pages they touch.
+  /// leaves and pages copy-on-write. Cheap (one leaf pointer per 4,096
+  /// slots + interner clone); safe to read from any number of threads
+  /// while this graph keeps mutating. Marks every current leaf and page
+  /// frozen, so subsequent writes to this graph clone the ones they touch.
   std::shared_ptr<PropertyGraph> Snapshot();
 
-  /// A mutable copy sharing pages copy-on-write (the transaction-rollback
-  /// restore path: re-materialize the last committed state as a fresh
-  /// live graph). Content-equal to `*this` at call time.
+  /// A mutable copy sharing leaves and pages copy-on-write (the
+  /// transaction-rollback restore path: re-materialize the last committed
+  /// state as a fresh live graph), at the same cost as Snapshot().
+  /// Content-equal to `*this` at call time.
   std::shared_ptr<PropertyGraph> Clone() const;
 
   /// True for graphs produced by Snapshot(): every mutator fails/asserts.
@@ -318,11 +321,16 @@ class PropertyGraph {
   };
 
   /// 64 records per copy-on-write page: small enough that a point write
-  /// after a snapshot copies little, large enough that the page-pointer
-  /// vector (and thus Snapshot cost) stays 64x smaller than the slots.
+  /// after a snapshot copies little. 64 pages per copy-on-write leaf: the
+  /// leaf vector (and thus Snapshot cost) stays 4,096x smaller than the
+  /// slots, and a write after a snapshot copies one 64-pointer leaf.
   static constexpr size_t kPageBits = 6;
   static constexpr size_t kPageSize = size_t{1} << kPageBits;
   static constexpr size_t kPageMask = kPageSize - 1;
+  static constexpr size_t kDirBits = 6;
+  static constexpr size_t kDirSize = size_t{1} << kDirBits;
+  static constexpr size_t kDirMask = kDirSize - 1;
+  static constexpr size_t kLeafBits = kPageBits + kDirBits;
 
   /// A shared payload plus the epoch at which THIS graph object last
   /// owned it exclusively. Writable in place iff epoch == epoch_;
@@ -333,28 +341,39 @@ class PropertyGraph {
     std::shared_ptr<T> payload;
     uint64_t epoch = 0;
   };
+  /// Pages and leaves are fixed arrays, so a read is three dependent
+  /// loads (leaf vector, leaf, page). Slots past node_slots_/rel_slots_
+  /// in the last page hold default records no accessor reaches.
   template <typename Rec>
-  using PageVec = std::vector<Cow<std::vector<Rec>>>;
+  using Page = std::array<Rec, kPageSize>;
+  template <typename Rec>
+  using Leaf = std::array<Cow<Page<Rec>>, kDirSize>;
+  template <typename Rec>
+  using PageVec = std::vector<Cow<Leaf<Rec>>>;
 
-  /// Copy-on-write copy: shares every page/posting payload, clones the
+  /// Copy-on-write copy: shares every leaf/posting payload, clones the
   /// interners and count maps. The copy's epoch is advanced past every
-  /// shared payload's, so its first write to any page clones it.
+  /// shared payload's, so its first write to any leaf or page clones it.
   PropertyGraph(const PropertyGraph& other, bool frozen);
 
-  const NodeRecord& node(NodeId n) const {
-    return (*node_pages_[n.id >> kPageBits].payload)[n.id & kPageMask];
+  template <typename Rec>
+  static const Rec& Slot(const PageVec<Rec>& pages, size_t id) {
+    const Leaf<Rec>& leaf = *pages[id >> kLeafBits].payload;
+    return (*leaf[(id >> kPageBits) & kDirMask].payload)[id & kPageMask];
   }
-  const RelRecord& rel(RelId r) const {
-    return (*rel_pages_[r.id >> kPageBits].payload)[r.id & kPageMask];
-  }
+  const NodeRecord& node(NodeId n) const { return Slot(node_pages_, n.id); }
+  const RelRecord& rel(RelId r) const { return Slot(rel_pages_, r.id); }
+  /// The payload of `c`, cloned first unless this graph owns it.
+  template <typename T>
+  T* Owned(Cow<T>* c);
   template <typename Rec>
   Rec* MutableSlot(PageVec<Rec>* pages, size_t id);
   NodeRecord* MutableNode(NodeId n) {
     return MutableSlot(&node_pages_, n.id);
   }
   RelRecord* MutableRel(RelId r) { return MutableSlot(&rel_pages_, r.id); }
-  /// Appends one slot (cloning/creating the tail page as needed) and
-  /// returns the new record.
+  /// Appends one slot (cloning/creating the tail leaf and page as needed)
+  /// and returns the new record.
   template <typename Rec>
   Rec* AppendSlot(PageVec<Rec>* pages, size_t* slots);
   /// The label-index posting list for `s`, writable in place.
@@ -404,7 +423,7 @@ class PropertyGraph {
   uint64_t stats_version_ = 0;
   uint64_t data_version_ = 0;
   /// Epoch for the Cow ownership test; bumped by Snapshot() so every
-  /// page held at snapshot time reads as shared.
+  /// leaf and page held at snapshot time reads as shared.
   uint64_t epoch_ = 1;
   bool frozen_ = false;
   /// Deliberately absent from the copy constructor's init list: snapshots

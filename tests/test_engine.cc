@@ -269,6 +269,27 @@ TEST(Engine, MultiGraphExample61) {
   ASSERT_EQ(second->table.NumRows(), 2u);  // (p0,p1) and (p1,p0)
 }
 
+TEST(Engine, ExplainRegistersNoCatalogName) {
+  // EXPLAIN plans without running: the name `FROM GRAPH x AT "url"` binds
+  // must not reach the catalog. Executing the same statement binds it.
+  Database db = testutil::OpenOn();
+  auto ext = std::make_shared<PropertyGraph>();
+  ext->CreateNode({"Ext"});
+  db.RegisterUrl("hdfs://cluster/x", ext);
+  const char* by_url =
+      "FROM GRAPH x AT \"hdfs://cluster/x\" MATCH (n) RETURN n";
+  const char* by_name = "FROM GRAPH x MATCH (n) RETURN count(n) AS c";
+
+  auto plan = db.Explain(by_url);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(db.Execute(by_name).status().code(), StatusCode::kNotFound);
+
+  ASSERT_TRUE(db.Execute(by_url).ok());
+  auto r = db.Execute(by_name);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->table.rows()[0][0].AsInt(), 1);
+}
+
 TEST(Engine, MorphismOptionIsConfigurable) {
   EngineOptions opts;
   opts.morphism = Morphism::kHomomorphism;

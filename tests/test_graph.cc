@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/graph_catalog.h"
+#include "src/graph/graph_io.h"
 #include "src/graph/graph_statistics.h"
 #include "src/graph/property_graph.h"
 #include "src/workload/generators.h"
@@ -228,6 +229,65 @@ TEST(Snapshot, ChainedSnapshotsEachPinTheirEpoch) {
   EXPECT_EQ(g.NumNodes(), 3u);
   EXPECT_EQ(s1->NodesWithLabel("A").size(), 1u);
   EXPECT_EQ(s2->NodesWithLabel("A").size(), 2u);
+}
+
+TEST(Snapshot, IsolatedAcrossPageAndLeafBoundaries) {
+  // Slots live in pages of 64 records under leaves of 64 pages (4,096
+  // slots). Three leaves of nodes and relationships; writes at the edges
+  // of pages and leaves and appends past both boundaries must leave every
+  // earlier snapshot (and a clone of one) exactly as it was. The dumps
+  // run to megabytes, so they are compared without printing a diff.
+  constexpr size_t kSlots = 10000;
+  PropertyGraph g;
+  for (size_t i = 0; i < kSlots; ++i) {
+    g.CreateNode({"P"}, {{"id", Value::Int(static_cast<int64_t>(i))}});
+  }
+  const PropertyList w = {{"w", Value::Int(1)}};
+  for (size_t i = 0; i < kSlots; ++i) {
+    NodeId to{(i * 7 + 1) % kSlots};
+    ASSERT_TRUE(g.CreateRelationship(NodeId{i}, to, "T", w).ok());
+  }
+  auto snap = g.Snapshot();
+  const std::string before = DumpToCypher(*snap);
+
+  const size_t kEdges[] = {0, 63, 64, 4095, 4096, kSlots - 1};
+  for (size_t id : kEdges) {
+    g.SetNodeProperty(NodeId{id}, "id", Value::Int(-1));
+    g.SetRelProperty(RelId{id}, "w", Value::Int(-1));
+  }
+  // Past the next page boundary (10,048) and leaf boundary (12,288).
+  while (g.NumNodeSlots() < 3 * 4096 + 65) {
+    NodeId n = g.CreateNode({"Q"});
+    ASSERT_TRUE(g.CreateRelationship(n, NodeId{4096}, "U").ok());
+  }
+  ASSERT_GT(g.NumRelSlots(), 3 * 4096 + 64u);
+  auto snap2 = g.Snapshot();
+  const std::string before2 = DumpToCypher(*snap2);
+  // Node 5000's page, and those of its relationships and neighbours, are
+  // shared with both snapshots.
+  ASSERT_TRUE(g.DetachDeleteNode(NodeId{5000}).ok());
+  const std::string head = DumpToCypher(g);
+
+  EXPECT_TRUE(DumpToCypher(*snap) == before);
+  EXPECT_TRUE(DumpToCypher(*snap2) == before2);
+  EXPECT_TRUE(snap2->IsNodeAlive(NodeId{5000}));
+  EXPECT_TRUE(head != before2);
+
+  // A clone of the first snapshot writes without reaching either side,
+  // and later head writes do not reach the clone.
+  auto clone = snap->Clone();
+  clone->SetNodeProperty(NodeId{4096}, "id", Value::Int(-2));
+  clone->SetRelProperty(RelId{4095}, "w", Value::Int(-2));
+  while (clone->NumNodeSlots() < 3 * 4096 + 1) clone->CreateNode({"C"});
+  const std::string cloned = DumpToCypher(*clone);
+  EXPECT_TRUE(cloned != before);
+  g.SetNodeProperty(NodeId{4097}, "id", Value::Int(-3));
+  g.CreateNode({"Q"});
+  EXPECT_TRUE(DumpToCypher(*snap) == before);
+  EXPECT_TRUE(DumpToCypher(*clone) == cloned);
+  EXPECT_EQ(clone->NodeProperty(NodeId{4097}, "id").AsInt(), 4097);
+  EXPECT_EQ(g.NodeProperty(NodeId{4096}, "id").AsInt(), -1);
+  EXPECT_EQ(g.NodesWithLabel("C").size(), 0u);
 }
 
 TEST(Snapshot, DataVersionTracksEveryMutation) {
