@@ -6,7 +6,19 @@
 // regression in either mode, or a collapse of the batched advantage,
 // shows up as a >15% normalized slowdown.
 
+//
+// BM_CountScan / BM_IdFilterScan measure the executor's per-row cost on a
+// label scan: a bare count, and the same scan under a `{id: $id}` filter
+// (prepared statements, 1 worker, N Persons with 8 KNOWS each). Both
+// report ns_per_row; the gap between them is what evaluating the filter
+// costs per row. CI fails when the /2000 filter row costs more than 1.6x
+// the /2000 count row (both rows run in one process, so host speed
+// cancels out).
+
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
 
 #include "bench/bench_util.h"
 
@@ -81,6 +93,73 @@ void BM_UnwindBatched(benchmark::State& s) { RunQuery(s, kUnwind, 1024); }
 void BM_UnwindPerTuple(benchmark::State& s) { RunQuery(s, kUnwind, 1); }
 BENCHMARK(BM_UnwindBatched);
 BENCHMARK(BM_UnwindPerTuple);
+
+/// range(0) `:Person {id, score}` nodes, each with 8 KNOWS to
+/// (i + k * 7919) mod N, built once per size.
+std::shared_ptr<const PropertyGraph> PersonGraph(size_t n) {
+  static std::map<size_t, std::shared_ptr<const PropertyGraph>> built;
+  std::shared_ptr<const PropertyGraph>& g = built[n];
+  if (g == nullptr) {
+    PropertyGraph b;
+    for (size_t i = 0; i < n; ++i) {
+      int64_t id = static_cast<int64_t>(i);
+      b.CreateNode({"Person"},
+                   {{"id", Value::Int(id)}, {"score", Value::Int(id % 100)}});
+    }
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t k = 1; k <= 8; ++k) {
+        if (!b.CreateRelationship(NodeId{i}, NodeId{(i + k * 7919) % n},
+                                  "KNOWS")
+                 .ok()) {
+          std::fprintf(stderr, "PersonGraph: relationship create failed\n");
+          std::exit(1);
+        }
+      }
+    }
+    g = b.Snapshot();
+  }
+  return g;
+}
+
+/// Runs `query` as a prepared statement with `$id` cycling over the ids;
+/// ns_per_row divides the time by the N Persons each run scans.
+void RunScan(benchmark::State& state, const char* query) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  EngineOptions opts;
+  opts.num_threads = 1;
+  Database db = bench::MakeDatabase(PersonGraph(n)->Clone(), opts);
+  Result<PreparedQuery> prepared = db.Prepare(query);
+  if (!prepared.ok()) {
+    state.SkipWithError(prepared.status().ToString().c_str());
+    return;
+  }
+  ValueMap params;
+  size_t i = 0;
+  for (auto _ : state) {
+    params["id"] = Value::Int(static_cast<int64_t>(i++ % n));
+    auto r = db.Execute(*prepared, params);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r->table);
+  }
+  state.counters["ns_per_row"] = benchmark::Counter(
+      static_cast<double>(n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_CountScan(benchmark::State& s) {
+  RunScan(s, "MATCH (p:Person) RETURN count(p)");
+}
+void BM_IdFilterScan(benchmark::State& s) {
+  RunScan(s, "MATCH (p:Person {id: $id}) RETURN p.name, p.score");
+}
+BENCHMARK(BM_CountScan)->Arg(2000)->Arg(200000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_IdFilterScan)
+    ->Arg(2000)
+    ->Arg(200000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace gqlite

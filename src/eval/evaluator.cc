@@ -1,5 +1,6 @@
 #include "src/eval/evaluator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <regex>
@@ -40,35 +41,10 @@ Result<Tri> AsTri(const Value& v, const char* op) {
                            ValueTypeName(v.type()) + ")");
 }
 
-/// Property/component access on a value: maps index by key; nodes and
-/// relationships consult ι; temporal values expose their components.
-Result<Value> AccessProperty(const Value& obj, std::string_view key,
-                             const EvalContext& ctx) {
+/// Temporal component access (`d.year`, `t.hour`, `dur.days`, ...); any
+/// other non-graph, non-map value is a type error.
+Result<Value> TemporalComponent(const Value& obj, std::string_view key) {
   switch (obj.type()) {
-    case ValueType::kNull:
-      return Value::Null();
-    case ValueType::kMap: {
-      auto it = obj.AsMap().find(key);
-      return it == obj.AsMap().end() ? Value::Null() : it->second;
-    }
-    case ValueType::kNode:
-      if (ctx.graph == nullptr) {
-        return Status::EvaluationError("no graph bound for property access");
-      }
-      if (!ctx.graph->IsNodeAlive(obj.AsNode())) {
-        return Status::EvaluationError(
-            "cannot access property of a deleted node");
-      }
-      return ctx.graph->NodeProperty(obj.AsNode(), key);
-    case ValueType::kRelationship:
-      if (ctx.graph == nullptr) {
-        return Status::EvaluationError("no graph bound for property access");
-      }
-      if (!ctx.graph->IsRelAlive(obj.AsRelationship())) {
-        return Status::EvaluationError(
-            "cannot access property of a deleted relationship");
-      }
-      return ctx.graph->RelProperty(obj.AsRelationship(), key);
     case ValueType::kDate: {
       Date d = obj.AsDate();
       if (key == "year") return Value::Int(d.year());
@@ -112,9 +88,9 @@ Result<Value> AccessProperty(const Value& obj, std::string_view key,
         return Value::Int(dt.EpochSeconds());
       }
       // Delegate to the date components first, then the time components.
-      Result<Value> dr = AccessProperty(Value::Temporal(dt.date), key, ctx);
+      Result<Value> dr = TemporalComponent(Value::Temporal(dt.date), key);
       if (dr.ok()) return dr;
-      return AccessProperty(Value::Temporal(dt.time), key, ctx);
+      return TemporalComponent(Value::Temporal(dt.time), key);
     }
     case ValueType::kDuration: {
       const Duration& d = obj.AsDuration();
@@ -133,6 +109,116 @@ Result<Value> AccessProperty(const Value& obj, std::string_view key,
                      "temporal value",
                      obj);
   }
+}
+
+/// Property/component access on a value: maps index by key; nodes and
+/// relationships consult ι; temporal values expose their components. The
+/// result points into the map payload or the graph record where one
+/// exists; a computed component lands in `*scratch`. `key_id`, when
+/// non-null, is `key` already resolved against ctx.graph.
+Result<const Value*> PropertyRef(const Value& obj, std::string_view key,
+                                 const SymbolId* key_id,
+                                 const EvalContext& ctx, Value* scratch) {
+  static const Value kNull;
+  switch (obj.type()) {
+    case ValueType::kNull:
+      return &kNull;
+    case ValueType::kMap: {
+      auto it = obj.AsMap().find(key);
+      return it == obj.AsMap().end() ? &kNull : &it->second;
+    }
+    case ValueType::kNode:
+      if (ctx.graph == nullptr) {
+        return Status::EvaluationError("no graph bound for property access");
+      }
+      if (!ctx.graph->IsNodeAlive(obj.AsNode())) {
+        return Status::EvaluationError(
+            "cannot access property of a deleted node");
+      }
+      return key_id != nullptr
+                 ? &ctx.graph->NodePropertyById(obj.AsNode(), *key_id)
+                 : &ctx.graph->NodeProperty(obj.AsNode(), key);
+    case ValueType::kRelationship:
+      if (ctx.graph == nullptr) {
+        return Status::EvaluationError("no graph bound for property access");
+      }
+      if (!ctx.graph->IsRelAlive(obj.AsRelationship())) {
+        return Status::EvaluationError(
+            "cannot access property of a deleted relationship");
+      }
+      return key_id != nullptr
+                 ? &ctx.graph->RelPropertyById(obj.AsRelationship(), *key_id)
+                 : &ctx.graph->RelProperty(obj.AsRelationship(), key);
+    default:
+      GQL_ASSIGN_OR_RETURN(*scratch, TemporalComponent(obj, key));
+      return static_cast<const Value*>(scratch);
+  }
+}
+
+Result<Value> AccessProperty(const Value& obj, std::string_view key,
+                             const EvalContext& ctx) {
+  Value scratch;
+  GQL_ASSIGN_OR_RETURN(const Value* v,
+                       PropertyRef(obj, key, nullptr, ctx, &scratch));
+  return *v;
+}
+
+/// `$name` in the execution's parameter map.
+Result<const Value*> ParameterRef(const std::string& name,
+                                  const EvalContext& ctx) {
+  if (ctx.parameters == nullptr) {
+    return Status::EvaluationError("no parameters supplied");
+  }
+  auto it = ctx.parameters->find(name);
+  if (it == ctx.parameters->end()) {
+    return Status::EvaluationError("missing query parameter $" + name);
+  }
+  return &it->second;
+}
+
+/// The label predicate `obj:L1:L2...`. `ids`, when non-null, are the
+/// labels already resolved against ctx.graph.
+Result<Tri> HasLabels(const Value& obj, const std::vector<std::string>& labels,
+                      const std::vector<SymbolId>* ids,
+                      const EvalContext& ctx) {
+  if (obj.is_null()) return Tri::kNull;
+  if (!obj.is_node()) {
+    return TypeErr("label predicate requires a node", obj);
+  }
+  if (ctx.graph == nullptr || !ctx.graph->IsNodeAlive(obj.AsNode())) {
+    return Status::EvaluationError("label check on a deleted node");
+  }
+  for (size_t i = 0; i < labels.size(); ++i) {
+    bool has = ids != nullptr
+                   ? ctx.graph->NodeHasLabelId(obj.AsNode(), (*ids)[i])
+                   : ctx.graph->NodeHasLabel(obj.AsNode(), labels[i]);
+    if (!has) return Tri::kFalse;
+  }
+  return Tri::kTrue;
+}
+
+/// = <> < <= > >= under three-valued logic.
+Tri CompareValues(BinaryOp op, const Value& lv, const Value& rv) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return ValueEquals(lv, rv);
+    case BinaryOp::kNeq:
+      return TriNot(ValueEquals(lv, rv));
+    case BinaryOp::kLt:
+      return ValueLess(lv, rv);
+    case BinaryOp::kLe:
+      return TriOr(ValueLess(lv, rv), ValueEquals(lv, rv));
+    case BinaryOp::kGt:
+      return ValueLess(rv, lv);
+    default:  // kGe
+      return TriOr(ValueLess(rv, lv), ValueEquals(lv, rv));
+  }
+}
+
+Tri CombineTri(BinaryOp op, Tri lt, Tri rt) {
+  return op == BinaryOp::kAnd
+             ? TriAnd(lt, rt)
+             : (op == BinaryOp::kOr ? TriOr(lt, rt) : TriXor(lt, rt));
 }
 
 Result<Value> Arith(BinaryOp op, const Value& a, const Value& b);
@@ -392,6 +478,74 @@ Result<Value> SliceValue(const Value& obj, const Value& from, const Value& to) {
   return Value::MakeList(std::move(out));
 }
 
+/// Every binary operator except AND/OR/XOR, over evaluated operands.
+Result<Value> ApplyBinary(BinaryOp op, const Value& lv, const Value& rv) {
+  switch (op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNeq:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      return TriToValue(CompareValues(op, lv, rv));
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub:
+    case BinaryOp::kMul:
+    case BinaryOp::kDiv:
+    case BinaryOp::kMod:
+    case BinaryOp::kPow:
+      return Arith(op, lv, rv);
+    case BinaryOp::kIn:
+      if (lv.is_null() && rv.is_null()) return Value::Null();
+      return InList(lv, rv);
+    case BinaryOp::kStartsWith:
+    case BinaryOp::kEndsWith:
+    case BinaryOp::kContains:
+    case BinaryOp::kRegexMatch:
+      return StringPredicate(op, lv, rv);
+    default:
+      return Status::Internal("unhandled binary operator");
+  }
+}
+
+/// Every unary operator, over an evaluated operand.
+Result<Value> ApplyUnary(UnaryOp op, const Value& v) {
+  switch (op) {
+    case UnaryOp::kNot: {
+      GQL_ASSIGN_OR_RETURN(Tri t, AsTri(v, "NOT"));
+      return TriToValue(TriNot(t));
+    }
+    case UnaryOp::kMinus:
+      if (v.is_null()) return Value::Null();
+      if (v.is_int()) {
+        if (v.AsInt() == INT64_MIN) {
+          return Status::EvaluationError(
+              "integer overflow: -(" + std::to_string(v.AsInt()) + ")");
+        }
+        return Value::Int(-v.AsInt());
+      }
+      if (v.is_float()) return Value::Float(-v.AsFloat());
+      if (v.type() == ValueType::kDuration) {
+        return Value::Temporal(v.AsDuration().Negated());
+      }
+      return TypeErr("unary minus requires a number", v);
+    case UnaryOp::kPlus:
+      if (v.is_null() || v.is_number()) return v;
+      return TypeErr("unary plus requires a number", v);
+    case UnaryOp::kIsNull:
+      return Value::Bool(v.is_null());
+    case UnaryOp::kIsNotNull:
+      return Value::Bool(!v.is_null());
+  }
+  return Status::Internal("unhandled unary operator");
+}
+
+Status PredicateTypeErr(const Value& v) {
+  return Status::TypeError(
+      "predicate must evaluate to a boolean or null (got " +
+      std::string(ValueTypeName(v.type())) + ")");
+}
+
 }  // namespace
 
 Result<Value> EvaluateExpr(const Expr& e, const Environment& env,
@@ -410,14 +564,8 @@ Result<Value> EvaluateExpr(const Expr& e, const Environment& env,
     }
     case Expr::Kind::kParameter: {
       const auto& p = static_cast<const ParameterExpr&>(e);
-      if (ctx.parameters == nullptr) {
-        return Status::EvaluationError("no parameters supplied");
-      }
-      auto it = ctx.parameters->find(p.name);
-      if (it == ctx.parameters->end()) {
-        return Status::EvaluationError("missing query parameter $" + p.name);
-      }
-      return it->second;
+      GQL_ASSIGN_OR_RETURN(const Value* v, ParameterRef(p.name, ctx));
+      return *v;
     }
     case Expr::Kind::kProperty: {
       const auto& p = static_cast<const PropertyExpr&>(e);
@@ -427,19 +575,8 @@ Result<Value> EvaluateExpr(const Expr& e, const Environment& env,
     case Expr::Kind::kLabelCheck: {
       const auto& p = static_cast<const LabelCheckExpr&>(e);
       GQL_ASSIGN_OR_RETURN(Value obj, EvaluateExpr(*p.object, env, ctx));
-      if (obj.is_null()) return Value::Null();
-      if (!obj.is_node()) {
-        return TypeErr("label predicate requires a node", obj);
-      }
-      if (ctx.graph == nullptr || !ctx.graph->IsNodeAlive(obj.AsNode())) {
-        return Status::EvaluationError("label check on a deleted node");
-      }
-      for (const auto& l : p.labels) {
-        if (!ctx.graph->NodeHasLabel(obj.AsNode(), l)) {
-          return Value::Bool(false);
-        }
-      }
-      return Value::Bool(true);
+      GQL_ASSIGN_OR_RETURN(Tri t, HasLabels(obj, p.labels, nullptr, ctx));
+      return TriToValue(t);
     }
     case Expr::Kind::kListLiteral: {
       const auto& p = static_cast<const ListLiteralExpr&>(e);
@@ -489,88 +626,21 @@ Result<Value> EvaluateExpr(const Expr& e, const Environment& env,
     }
     case Expr::Kind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(e);
-      switch (b.op) {
-        case BinaryOp::kAnd:
-        case BinaryOp::kOr:
-        case BinaryOp::kXor: {
-          GQL_ASSIGN_OR_RETURN(Value lv, EvaluateExpr(*b.lhs, env, ctx));
-          GQL_ASSIGN_OR_RETURN(Value rv, EvaluateExpr(*b.rhs, env, ctx));
-          GQL_ASSIGN_OR_RETURN(Tri lt, AsTri(lv, BinaryOpName(b.op)));
-          GQL_ASSIGN_OR_RETURN(Tri rt, AsTri(rv, BinaryOpName(b.op)));
-          Tri r = b.op == BinaryOp::kAnd
-                      ? TriAnd(lt, rt)
-                      : (b.op == BinaryOp::kOr ? TriOr(lt, rt)
-                                               : TriXor(lt, rt));
-          return TriToValue(r);
-        }
-        default:
-          break;
-      }
       GQL_ASSIGN_OR_RETURN(Value lv, EvaluateExpr(*b.lhs, env, ctx));
       GQL_ASSIGN_OR_RETURN(Value rv, EvaluateExpr(*b.rhs, env, ctx));
-      switch (b.op) {
-        case BinaryOp::kEq:
-          return TriToValue(ValueEquals(lv, rv));
-        case BinaryOp::kNeq:
-          return TriToValue(TriNot(ValueEquals(lv, rv)));
-        case BinaryOp::kLt:
-          return TriToValue(ValueLess(lv, rv));
-        case BinaryOp::kLe:
-          return TriToValue(TriOr(ValueLess(lv, rv), ValueEquals(lv, rv)));
-        case BinaryOp::kGt:
-          return TriToValue(ValueLess(rv, lv));
-        case BinaryOp::kGe:
-          return TriToValue(TriOr(ValueLess(rv, lv), ValueEquals(lv, rv)));
-        case BinaryOp::kAdd:
-        case BinaryOp::kSub:
-        case BinaryOp::kMul:
-        case BinaryOp::kDiv:
-        case BinaryOp::kMod:
-        case BinaryOp::kPow:
-          return Arith(b.op, lv, rv);
-        case BinaryOp::kIn:
-          if (lv.is_null() && rv.is_null()) return Value::Null();
-          return InList(lv, rv);
-        case BinaryOp::kStartsWith:
-        case BinaryOp::kEndsWith:
-        case BinaryOp::kContains:
-        case BinaryOp::kRegexMatch:
-          return StringPredicate(b.op, lv, rv);
-        default:
-          return Status::Internal("unhandled binary operator");
+      if (b.op == BinaryOp::kAnd || b.op == BinaryOp::kOr ||
+          b.op == BinaryOp::kXor) {
+        // No short-circuit: both sides evaluate before either is checked.
+        GQL_ASSIGN_OR_RETURN(Tri lt, AsTri(lv, BinaryOpName(b.op)));
+        GQL_ASSIGN_OR_RETURN(Tri rt, AsTri(rv, BinaryOpName(b.op)));
+        return TriToValue(CombineTri(b.op, lt, rt));
       }
+      return ApplyBinary(b.op, lv, rv);
     }
     case Expr::Kind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
       GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*u.operand, env, ctx));
-      switch (u.op) {
-        case UnaryOp::kNot: {
-          GQL_ASSIGN_OR_RETURN(Tri t, AsTri(v, "NOT"));
-          return TriToValue(TriNot(t));
-        }
-        case UnaryOp::kMinus:
-          if (v.is_null()) return Value::Null();
-          if (v.is_int()) {
-            if (v.AsInt() == INT64_MIN) {
-              return Status::EvaluationError(
-                  "integer overflow: -(" + std::to_string(v.AsInt()) + ")");
-            }
-            return Value::Int(-v.AsInt());
-          }
-          if (v.is_float()) return Value::Float(-v.AsFloat());
-          if (v.type() == ValueType::kDuration) {
-            return Value::Temporal(v.AsDuration().Negated());
-          }
-          return TypeErr("unary minus requires a number", v);
-        case UnaryOp::kPlus:
-          if (v.is_null() || v.is_number()) return v;
-          return TypeErr("unary plus requires a number", v);
-        case UnaryOp::kIsNull:
-          return Value::Bool(v.is_null());
-        case UnaryOp::kIsNotNull:
-          return Value::Bool(!v.is_null());
-      }
-      return Status::Internal("unhandled unary operator");
+      return ApplyUnary(u.op, v);
     }
     case Expr::Kind::kIndex: {
       const auto& i = static_cast<const IndexExpr&>(e);
@@ -712,9 +782,326 @@ Result<Tri> EvaluatePredicate(const Expr& e, const Environment& env,
   GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(e, env, ctx));
   if (v.is_null()) return Tri::kNull;
   if (v.is_bool()) return TriFromBool(v.AsBool());
-  return Status::TypeError(
-      "predicate must evaluate to a boolean or null (got " +
-      std::string(ValueTypeName(v.type())) + ")");
+  return PredicateTypeErr(v);
+}
+
+// ---- CompiledExpr -----------------------------------------------------------
+
+namespace {
+
+// The compiled form's error paths stay out of line, so its per-row frames
+// hold no Result or Status temporaries.
+
+/// AsTri's type error for a non-null, non-boolean operand of `op`.
+[[gnu::noinline]] Tri OperandTypeErr(const Value& bad, const char* op,
+                                     Status* err) {
+  *err = AsTri(bad, op).status();
+  return Tri::kNull;
+}
+
+[[gnu::noinline]] Tri LabelsTri(const Value& obj,
+                                const std::vector<std::string>& labels,
+                                const std::vector<SymbolId>* ids,
+                                const EvalContext& ctx, Status* err) {
+  Result<Tri> t = HasLabels(obj, labels, ids, ctx);
+  if (t.ok()) return *t;
+  *err = t.status();
+  return Tri::kNull;
+}
+
+}  // namespace
+
+CompiledExpr CompiledExpr::Compile(
+    const Expr& e, const std::vector<std::string>& schema,
+    const std::vector<std::string>& second_schema) {
+  CompiledExpr c;
+  c.schema_ = schema;
+  c.first_width_ = schema.size();
+  c.schema_.insert(c.schema_.end(), second_schema.begin(),
+                   second_schema.end());
+  c.Add(e);  // the root is added last
+  c.scratch_.resize(c.nodes_.size());
+  return c;
+}
+
+int CompiledExpr::Add(const Expr& e) {
+  Node n;
+  n.expr = &e;
+  switch (e.kind) {
+    case Expr::Kind::kLiteral:
+      n.op = Op::kLiteral;
+      break;
+    case Expr::Kind::kVariable: {
+      const std::string& name = static_cast<const VariableExpr&>(e).name;
+      auto it = std::find(schema_.begin(), schema_.end(), name);
+      if (it == schema_.end()) break;  // unbound: the fallback's error
+      size_t i = static_cast<size_t>(it - schema_.begin());
+      n.op = Op::kColumn;
+      n.second = i >= first_width_;
+      n.column = n.second ? i - first_width_ : i;
+      break;
+    }
+    case Expr::Kind::kParameter:
+      n.op = Op::kParameter;
+      break;
+    case Expr::Kind::kProperty:
+      n.op = Op::kProperty;
+      n.lhs = Add(*static_cast<const PropertyExpr&>(e).object);
+      break;
+    case Expr::Kind::kLabelCheck:
+      n.op = Op::kLabels;
+      n.lhs = Add(*static_cast<const LabelCheckExpr&>(e).object);
+      break;
+    case Expr::Kind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(e);
+      switch (b.op) {
+        case BinaryOp::kAnd:
+        case BinaryOp::kOr:
+        case BinaryOp::kXor:
+          n.op = Op::kLogic;
+          break;
+        case BinaryOp::kEq:
+        case BinaryOp::kNeq:
+        case BinaryOp::kLt:
+        case BinaryOp::kLe:
+        case BinaryOp::kGt:
+        case BinaryOp::kGe:
+          n.op = Op::kCompare;
+          break;
+        default:
+          n.op = Op::kBinary;
+          break;
+      }
+      n.lhs = Add(*b.lhs);
+      n.rhs = Add(*b.rhs);
+      break;
+    }
+    case Expr::Kind::kUnary: {
+      const auto& u = static_cast<const UnaryExpr&>(e);
+      n.op = u.op == UnaryOp::kNot         ? Op::kNot
+             : u.op == UnaryOp::kIsNull    ? Op::kIsNull
+             : u.op == UnaryOp::kIsNotNull ? Op::kIsNotNull
+                                           : Op::kUnary;
+      n.lhs = Add(*u.operand);
+      break;
+    }
+    default:
+      break;  // kFallback
+  }
+  nodes_.push_back(std::move(n));
+  return static_cast<int>(nodes_.size()) - 1;
+}
+
+void CompiledExpr::Bind(const EvalContext& ctx) {
+  ctx_ = &ctx;
+  bound_graph_ = ctx.graph;
+  bound_params_ = ctx.parameters;
+  for (Node& n : nodes_) {
+    switch (n.op) {
+      case Op::kProperty:
+        n.key = ctx.graph == nullptr
+                    ? kNoSymbol
+                    : ctx.graph->keys().Lookup(
+                          static_cast<const PropertyExpr&>(*n.expr).key);
+        break;
+      case Op::kLabels: {
+        const auto& labels = static_cast<const LabelCheckExpr&>(*n.expr).labels;
+        n.labels.clear();
+        for (const std::string& l : labels) {
+          n.labels.push_back(ctx.graph == nullptr ? kNoSymbol
+                                                  : ctx.graph->LookupLabel(l));
+        }
+        break;
+      }
+      case Op::kParameter: {
+        Result<const Value*> v = ParameterRef(
+            static_cast<const ParameterExpr&>(*n.expr).name, ctx);
+        n.param = v.ok() ? *v : nullptr;  // the error is raised per use
+        break;
+      }
+      default:
+        break;
+    }
+  }
+}
+
+Result<const Value*> CompiledExpr::Evaluate(const ValueList& row,
+                                            const ValueList* second) const {
+  if (ctx_ == nullptr || nodes_.empty()) {
+    return Status::Internal("compiled expression evaluated unbound or empty");
+  }
+  Status err;
+  const Value* v =
+      Ref(static_cast<int>(nodes_.size()) - 1, Rows{&row, second}, &err);
+  if (v == nullptr) return err;
+  return v;
+}
+
+Result<Tri> CompiledExpr::EvaluatePredicate(const ValueList& row) const {
+  if (ctx_ == nullptr || nodes_.empty()) {
+    return Status::Internal("compiled expression evaluated unbound or empty");
+  }
+  Status err;
+  const Value* bad = nullptr;
+  Tri t = TriOf(static_cast<int>(nodes_.size()) - 1, Rows{&row, nullptr},
+                &bad, &err);
+  if (!err.ok()) return err;
+  if (bad != nullptr) return PredicateTypeErr(*bad);
+  return t;
+}
+
+const Value* CompiledExpr::Ref(int i, const Rows& rows, Status* err) const {
+  // The leaves and the property of a live node or relationship stay here;
+  // everything else is in Compute, so this frame stays small.
+  const Node& n = nodes_[i];
+  switch (n.op) {
+    case Op::kColumn: {
+      const ValueList* row = n.second ? rows.second : rows.first;
+      if (row != nullptr && n.column < row->size()) return &(*row)[n.column];
+      break;
+    }
+    case Op::kParameter:
+      if (n.param != nullptr && ctx_->parameters == bound_params_) {
+        return n.param;
+      }
+      break;
+    case Op::kLiteral:
+      return &static_cast<const LiteralExpr&>(*n.expr).value;
+    case Op::kProperty: {
+      const Value* obj = Ref(n.lhs, rows, err);
+      if (obj == nullptr) return nullptr;
+      const PropertyGraph* g = ctx_->graph;
+      if (g != nullptr && g == bound_graph_) {
+        if (obj->is_node() && g->IsNodeAlive(obj->AsNode())) {
+          return &g->NodePropertyById(obj->AsNode(), n.key);
+        }
+        if (obj->is_relationship() && g->IsRelAlive(obj->AsRelationship())) {
+          return &g->RelPropertyById(obj->AsRelationship(), n.key);
+        }
+      }
+      return Compute(i, rows, obj, err);
+    }
+    default:
+      break;
+  }
+  return Compute(i, rows, nullptr, err);
+}
+
+const Value* CompiledExpr::Compute(int i, const Rows& rows, const Value* obj,
+                                   Status* err) const {
+  const Node& n = nodes_[i];
+  Value& scratch = scratch_[i];
+  // Stores a computed value (or the error) and returns where it lives.
+  auto set = [&](Result<Value> r) -> const Value* {
+    if (!r.ok()) {
+      *err = r.status();
+      return nullptr;
+    }
+    scratch = std::move(r).value();
+    return &scratch;
+  };
+  // Records a reference (or the error).
+  auto ref = [err](Result<const Value*> r) -> const Value* {
+    if (r.ok()) return *r;
+    *err = r.status();
+    return nullptr;
+  };
+  switch (n.op) {
+    case Op::kParameter:
+      return ref(ParameterRef(static_cast<const ParameterExpr&>(*n.expr).name,
+                              *ctx_));
+    case Op::kProperty:
+      return ref(PropertyRef(*obj,
+                             static_cast<const PropertyExpr&>(*n.expr).key,
+                             ctx_->graph == bound_graph_ ? &n.key : nullptr,
+                             *ctx_, &scratch));
+    case Op::kLabels:
+    case Op::kCompare:
+    case Op::kLogic:
+    case Op::kNot:
+    case Op::kIsNull:
+    case Op::kIsNotNull: {
+      const Value* bad = nullptr;  // never set by a predicate node
+      Tri t = TriOf(i, rows, &bad, err);
+      if (!err->ok()) return nullptr;
+      scratch = TriToValue(t);
+      return &scratch;
+    }
+    case Op::kBinary: {
+      const Value* lv = Ref(n.lhs, rows, err);
+      if (lv == nullptr) return nullptr;
+      const Value* rv = Ref(n.rhs, rows, err);
+      if (rv == nullptr) return nullptr;
+      return set(
+          ApplyBinary(static_cast<const BinaryExpr&>(*n.expr).op, *lv, *rv));
+    }
+    case Op::kUnary: {
+      const Value* v = Ref(n.lhs, rows, err);
+      if (v == nullptr) return nullptr;
+      return set(ApplyUnary(static_cast<const UnaryExpr&>(*n.expr).op, *v));
+    }
+    case Op::kColumn:  // a row narrower than the schema: unbound
+    case Op::kLiteral:
+    case Op::kFallback:
+      break;
+  }
+  SchemaRowEnvironment env(schema_, *rows.first, first_width_, rows.second);
+  return set(EvaluateExpr(*n.expr, env, *ctx_));
+}
+
+Tri CompiledExpr::TriOf(int i, const Rows& rows, const Value** bad,
+                        Status* err) const {
+  const Node& n = nodes_[i];
+  switch (n.op) {
+    case Op::kCompare: {
+      const Value* lv = Ref(n.lhs, rows, err);
+      if (lv == nullptr) return Tri::kNull;
+      const Value* rv = Ref(n.rhs, rows, err);
+      if (rv == nullptr) return Tri::kNull;
+      return CompareValues(static_cast<const BinaryExpr&>(*n.expr).op, *lv,
+                           *rv);
+    }
+    case Op::kLogic: {
+      BinaryOp op = static_cast<const BinaryExpr&>(*n.expr).op;
+      const Value* lbad = nullptr;
+      const Value* rbad = nullptr;
+      Tri lt = TriOf(n.lhs, rows, &lbad, err);
+      if (!err->ok()) return Tri::kNull;
+      Tri rt = TriOf(n.rhs, rows, &rbad, err);
+      if (!err->ok()) return Tri::kNull;
+      if (lbad != nullptr) return OperandTypeErr(*lbad, BinaryOpName(op), err);
+      if (rbad != nullptr) return OperandTypeErr(*rbad, BinaryOpName(op), err);
+      return CombineTri(op, lt, rt);
+    }
+    case Op::kNot: {
+      const Value* obad = nullptr;
+      Tri t = TriOf(n.lhs, rows, &obad, err);
+      if (!err->ok()) return Tri::kNull;
+      if (obad != nullptr) return OperandTypeErr(*obad, "NOT", err);
+      return TriNot(t);
+    }
+    case Op::kIsNull:
+    case Op::kIsNotNull: {
+      const Value* v = Ref(n.lhs, rows, err);
+      if (v == nullptr) return Tri::kNull;
+      return TriFromBool(v->is_null() == (n.op == Op::kIsNull));
+    }
+    case Op::kLabels: {
+      const Value* obj = Ref(n.lhs, rows, err);
+      if (obj == nullptr) return Tri::kNull;
+      return LabelsTri(*obj, static_cast<const LabelCheckExpr&>(*n.expr).labels,
+                       ctx_->graph == bound_graph_ ? &n.labels : nullptr,
+                       *ctx_, err);
+    }
+    default: {
+      const Value* v = Ref(i, rows, err);
+      if (v == nullptr) return Tri::kNull;
+      if (v->is_null()) return Tri::kNull;
+      if (v->is_bool()) return TriFromBool(v->AsBool());
+      *bad = v;
+      return Tri::kNull;
+    }
+  }
 }
 
 }  // namespace gqlite

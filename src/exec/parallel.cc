@@ -306,6 +306,9 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
   ProjectionOp* merge_proj = par.projections[0];
   const ast::ProjectionBody& body = *merge_proj->body();
   const EvalContext& merge_eval = merge_proj->exec_context()->eval;
+  // The workers and the merge stage evaluate these projections' compiled
+  // expressions without running their Open().
+  for (ProjectionOp* p : par.projections) p->Bind();
 
   // Resumes the serial plan above the merge point; a no-op when the
   // merge point IS the root (the merged table is the query result).
@@ -382,6 +385,9 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
     Operator* root = wproj->child();
     PartitionedScan* scan = par.scans[w];
     const EvalContext& eval = wproj->exec_context()->eval;
+    // One morsel buffer per worker: NextBatch clears it, and its row
+    // slots keep their allocations from range to range.
+    RowBatch batch(batch_size);
     ScanMorsel morsel;
     while (dispatcher.Next(&morsel)) {
       scan->SetScanRange(morsel.begin, morsel.end);
@@ -392,14 +398,14 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
           // the pre-aggregation rows never materialize, so a range's
           // working memory is one RowBatch, not its whole row count.
           AggregationState st = proto->Fork();
-          RowBatch batch(batch_size);
           while (true) {
             GQL_ASSIGN_OR_RETURN(bool ok, root->NextBatch(&batch));
             if (!ok) break;
             ++worker_stats[w].batches;
             worker_stats[w].rows += static_cast<int64_t>(batch.size());
             for (size_t i = 0; i < batch.size(); ++i) {
-              GQL_RETURN_IF_ERROR(st.AccumulateRow(batch.row(i), eval));
+              GQL_RETURN_IF_ERROR(
+                  st.AccumulateRow(batch.row(i), eval, &wproj->exprs()));
             }
           }
           range_aggs[morsel.index] = std::move(st);
@@ -488,8 +494,9 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
       }
       GQL_ASSIGN_OR_RETURN(Table grouped, merged.Finish(merge_eval));
       GQL_ASSIGN_OR_RETURN(
-          Table tailed, ApplyProjectionTail(body, std::move(grouped), nullptr,
-                                            nullptr, merge_eval));
+          Table tailed,
+          ApplyProjectionTail(body, std::move(grouped), nullptr, nullptr,
+                              merge_eval, &merge_proj->exprs()));
       return merge_proj->FilterWhere(std::move(tailed));
     }
 
@@ -543,7 +550,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
           GQL_ASSIGN_OR_RETURN(
               ValueList keys,
               OrderKeysForRow(body, deduped, deduped.rows()[i], nullptr,
-                              nullptr, merge_eval));
+                              nullptr, merge_eval, &merge_proj->exprs()));
           run.push_back(SortRow{ValueList(), std::move(keys), 0, i});
         }
         std::sort(run.begin(), run.end(),

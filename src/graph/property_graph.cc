@@ -199,6 +199,10 @@ std::shared_ptr<PropertyGraph> PropertyGraph::Snapshot() {
 }
 
 std::shared_ptr<PropertyGraph> PropertyGraph::Clone() const {
+  // A live source must stop owning what it now shares with the clone,
+  // exactly as for Snapshot(). A frozen source never writes, so it keeps
+  // its epoch and Clone() of a shared snapshot stays a pure read.
+  if (!frozen_) ++epoch_;
   return std::shared_ptr<PropertyGraph>(
       new PropertyGraph(*this, /*frozen=*/false));
 }
@@ -389,6 +393,14 @@ const Value& PropertyGraph::NodeProperty(NodeId n,
 const Value& PropertyGraph::RelProperty(RelId r,
                                         std::string_view key) const {
   return GetProp(rel(r).props, keys_.Lookup(key));
+}
+
+const Value& PropertyGraph::NodePropertyById(NodeId n, SymbolId key) const {
+  return GetProp(node(n).props, key);
+}
+
+const Value& PropertyGraph::RelPropertyById(RelId r, SymbolId key) const {
+  return GetProp(rel(r).props, key);
 }
 
 int PropertyGraph::SetNodeProperty(NodeId n, std::string_view key, Value v) {

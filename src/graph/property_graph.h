@@ -93,7 +93,8 @@ class PropertyGraph {
   /// A mutable copy sharing leaves and pages copy-on-write (the
   /// transaction-rollback restore path: re-materialize the last committed
   /// state as a fresh live graph), at the same cost as Snapshot().
-  /// Content-equal to `*this` at call time.
+  /// Content-equal to `*this` at call time; later writes to either graph
+  /// stay invisible to the other.
   std::shared_ptr<PropertyGraph> Clone() const;
 
   /// True for graphs produced by Snapshot(): every mutator fails/asserts.
@@ -172,6 +173,11 @@ class PropertyGraph {
   /// copy without materializing an intermediate.
   const Value& NodeProperty(NodeId n, std::string_view key) const;
   const Value& RelProperty(RelId r, std::string_view key) const;
+  /// The same for a key already resolved through keys().Lookup (compiled
+  /// expressions resolve each key once per execution); kNoSymbol, a key
+  /// this graph never interned, reads as absent.
+  const Value& NodePropertyById(NodeId n, SymbolId key) const;
+  const Value& RelPropertyById(RelId r, SymbolId key) const;
   /// Sets (or, with a null value, removes) a property. Returns the number
   /// of properties added/changed (0 or 1).
   int SetNodeProperty(NodeId n, std::string_view key, Value v);
@@ -422,9 +428,10 @@ class PropertyGraph {
   size_t num_rels_ = 0;
   uint64_t stats_version_ = 0;
   uint64_t data_version_ = 0;
-  /// Epoch for the Cow ownership test; bumped by Snapshot() so every
-  /// leaf and page held at snapshot time reads as shared.
-  uint64_t epoch_ = 1;
+  /// Epoch for the Cow ownership test; bumped by Snapshot() and by
+  /// Clone() of a live graph so every leaf and page held at that moment
+  /// reads as shared. Mutable because Clone() is const.
+  mutable uint64_t epoch_ = 1;
   bool frozen_ = false;
   /// Deliberately absent from the copy constructor's init list: snapshots
   /// and clones start unobserved (see set_write_observer).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -94,6 +95,7 @@ struct AggregationState::Impl {
     std::string name;
     const Expr* expr = nullptr;  // original expression (null: copy field)
     int field_index = -1;        // input column when expr == nullptr
+    int body_index = -1;         // position in body.items (expr != nullptr)
     bool aggregating = false;
     ExprPtr rewritten;           // with aggregates extracted (if aggregating)
     std::vector<AggSlot> slots;  // this item's aggregate sub-expressions
@@ -137,12 +139,17 @@ struct AggregationState::Impl {
   /// Builds the row's grouping key (the values of the non-aggregating
   /// items) into `key`.
   Status BuildKey(const ValueList& row, const Environment& env,
-                  const EvalContext& ctx, ValueList* key) const {
+                  const EvalContext& ctx, const CompiledProjection* compiled,
+                  ValueList* key) const {
     key->clear();
     for (const auto& it : shape->items) {
       if (it.aggregating) continue;
       if (it.expr == nullptr) {
         key->push_back(row[it.field_index]);
+      } else if (compiled != nullptr) {
+        GQL_ASSIGN_OR_RETURN(const Value* v,
+                             compiled->items[it.body_index].Evaluate(row));
+        key->push_back(*v);
       } else {
         GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*it.expr, env, ctx));
         key->push_back(std::move(v));
@@ -152,16 +159,22 @@ struct AggregationState::Impl {
   }
 
   /// Folds one row's aggregate arguments into a group's accumulators.
-  Status AccumulateSlots(Group& g, const Environment& env,
-                         const EvalContext& ctx) {
+  Status AccumulateSlots(Group& g, const ValueList& row,
+                         const Environment& env, const EvalContext& ctx,
+                         const CompiledProjection* compiled) {
+    static const Value kRowMarker = Value::Bool(true);  // count(*)'s input
     size_t slot_idx = 0;
+    Value scratch;
     for (const auto& it : shape->items) {
       for (const auto& slot : it.slots) {
-        Value v = Value::Bool(true);  // row marker for count(*)
-        if (slot.arg) {
-          GQL_ASSIGN_OR_RETURN(v, EvaluateExpr(*slot.arg, env, ctx));
+        const Value* v = &kRowMarker;
+        if (slot.arg != nullptr && compiled != nullptr) {
+          GQL_ASSIGN_OR_RETURN(v, compiled->agg_args[slot_idx].Evaluate(row));
+        } else if (slot.arg != nullptr) {
+          GQL_ASSIGN_OR_RETURN(scratch, EvaluateExpr(*slot.arg, env, ctx));
+          v = &scratch;
         }
-        GQL_RETURN_IF_ERROR(g.aggs[slot_idx]->Accumulate(v));
+        GQL_RETURN_IF_ERROR(g.aggs[slot_idx]->Accumulate(*v));
         ++slot_idx;
       }
     }
@@ -196,10 +209,12 @@ Result<AggregationState> AggregationState::Plan(
       shape->items.push_back(std::move(it));  // expr == nullptr: copy field
     }
   }
-  for (const auto& item : body.items) {
+  for (size_t i = 0; i < body.items.size(); ++i) {
+    const ReturnItem& item = body.items[i];
     Impl::Item it;
     it.name = item.alias ? *item.alias : DerivedColumnName(*item.expr);
     it.expr = item.expr.get();
+    it.body_index = static_cast<int>(i);
     it.aggregating = ContainsAggregate(*item.expr);
     if (it.aggregating) {
       it.rewritten = ExtractAggregates(*item.expr, &it.slots);
@@ -221,15 +236,17 @@ AggregationState AggregationState::Fork() const {
 }
 
 Status AggregationState::Accumulate(const Table& input,
-                                    const EvalContext& ctx) {
+                                    const EvalContext& ctx,
+                                    const CompiledProjection* compiled) {
   for (const auto& row : input.rows()) {
-    GQL_RETURN_IF_ERROR(AccumulateRow(row, ctx));
+    GQL_RETURN_IF_ERROR(AccumulateRow(row, ctx, compiled));
   }
   return Status::OK();
 }
 
 Status AggregationState::AccumulateRow(const ValueList& row,
-                                       const EvalContext& ctx) {
+                                       const EvalContext& ctx,
+                                       const CompiledProjection* compiled) {
   Impl& im = *impl_;
   SchemaRowEnvironment env(im.shape->input_fields, row);
   if (!im.shape->has_keys) {
@@ -241,13 +258,13 @@ Status AggregationState::AccumulateRow(const ValueList& row,
       GQL_ASSIGN_OR_RETURN(g.aggs, im.MakeGroupAggs());
       im.groups.push_back(std::move(g));
     }
-    return im.AccumulateSlots(im.groups[0], env, ctx);
+    return im.AccumulateSlots(im.groups[0], row, env, ctx, compiled);
   }
   // Group by the values of the non-aggregating items (§3: "the first
   // expression, r, is a non-aggregating expression and therefore acts
   // as an implicit grouping key"). The key is built in a reused scratch
   // buffer; the existing-group path allocates nothing.
-  GQL_RETURN_IF_ERROR(im.BuildKey(row, env, ctx, &im.key_scratch));
+  GQL_RETURN_IF_ERROR(im.BuildKey(row, env, ctx, compiled, &im.key_scratch));
   auto pos = im.index.find(im.key_scratch);
   if (pos == im.index.end()) {
     Impl::Group g;
@@ -257,7 +274,7 @@ Status AggregationState::AccumulateRow(const ValueList& row,
     pos = im.index.emplace(im.key_scratch, im.groups.size()).first;
     im.groups.push_back(std::move(g));
   }
-  return im.AccumulateSlots(im.groups[pos->second], env, ctx);
+  return im.AccumulateSlots(im.groups[pos->second], row, env, ctx, compiled);
 }
 
 Status AggregationState::MergeFrom(AggregationState&& other) {
@@ -358,29 +375,36 @@ Result<Table> AggregationState::Finish(const EvalContext& ctx) {
 Result<ValueList> OrderKeysForRow(const ProjectionBody& body,
                                   const Table& output, const ValueList& row,
                                   const ValueList* source, const Table* input,
-                                  const EvalContext& ctx) {
+                                  const EvalContext& ctx,
+                                  const CompiledProjection* compiled) {
   RowEnvironment out_env(output, row);
-  std::unique_ptr<RowEnvironment> in_env;
-  std::unique_ptr<MergedRowEnvironment> merged;
+  std::optional<RowEnvironment> in_env;
+  std::optional<MergedRowEnvironment> merged;
   const Environment* env = &out_env;
   if (source != nullptr && input != nullptr) {
-    in_env = std::make_unique<RowEnvironment>(*input, *source);
-    merged = std::make_unique<MergedRowEnvironment>(out_env, *in_env);
-    env = merged.get();
+    in_env.emplace(*input, *source);
+    merged.emplace(out_env, *in_env);
+    env = &*merged;
   }
   ValueList keys;
   keys.reserve(body.order_by.size());
-  for (const auto& o : body.order_by) {
+  for (size_t k = 0; k < body.order_by.size(); ++k) {
+    const Expr& key = *body.order_by[k].expr;
     // An ORDER BY expression that textually matches a projected column
     // (e.g. ORDER BY p.acmid after RETURN p.acmid, count(*)) refers to
     // that column, like Cypher's alias resolution.
-    int col = output.FieldIndex(DerivedColumnName(*o.expr));
+    int col = compiled != nullptr ? compiled->order_cols[k]
+                                  : output.FieldIndex(DerivedColumnName(key));
     if (col >= 0) {
       keys.push_back(row[col]);
-      continue;
+    } else if (compiled != nullptr) {
+      GQL_ASSIGN_OR_RETURN(const Value* v,
+                           compiled->order_keys[k].Evaluate(row, source));
+      keys.push_back(*v);
+    } else {
+      GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(key, *env, ctx));
+      keys.push_back(std::move(v));
     }
-    GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*o.expr, *env, ctx));
-    keys.push_back(std::move(v));
   }
   return keys;
 }
@@ -409,7 +433,7 @@ Result<SkipLimitBounds> EvaluateSkipLimit(const ProjectionBody& body,
 Result<Table> ApplyProjectionTail(
     const ProjectionBody& body, Table output,
     const std::vector<const ValueList*>* source_rows, const Table* input,
-    const EvalContext& ctx) {
+    const EvalContext& ctx, const CompiledProjection* compiled) {
   if (body.distinct) {
     // ε after projection; source-row pairing is dropped (ORDER BY then
     // sees only the projected columns, as in Cypher).
@@ -433,7 +457,7 @@ Result<Table> ApplyProjectionTail(
               : nullptr;
       GQL_ASSIGN_OR_RETURN(
           ValueList keys, OrderKeysForRow(body, output, row, source, input,
-                                          ctx));
+                                          ctx, compiled));
       // Keys are computed; the row itself can move out of the table.
       keyed.push_back(Keyed{std::move(row), std::move(keys)});
     }
@@ -464,36 +488,36 @@ Result<Table> ApplyProjectionTail(
 // ---- EvaluateProjection -----------------------------------------------------
 
 Result<Table> ProjectRows(const ProjectionBody& body, const Table& input,
-                          const EvalContext& ctx,
-                          std::vector<ValueList>* keys) {
+                          const EvalContext& ctx, std::vector<ValueList>* keys,
+                          const CompiledProjection* compiled) {
   // Non-aggregating map: one output row per input row. `*` expands to all
   // input fields (in order).
-  struct Item {
-    std::string name;
-    const Expr* expr = nullptr;  // null: copy the named input field
-  };
-  std::vector<Item> items;
+  std::vector<int> star_cols;
+  std::vector<std::string> out_fields;
   if (body.star) {
-    for (const auto& f : input.fields()) items.push_back({f, nullptr});
+    for (const auto& f : input.fields()) {
+      star_cols.push_back(input.FieldIndex(f));
+      out_fields.push_back(f);
+    }
   }
   for (const auto& item : body.items) {
-    items.push_back(
-        {item.alias ? *item.alias : DerivedColumnName(*item.expr),
-         item.expr.get()});
+    out_fields.push_back(item.alias ? *item.alias
+                                    : DerivedColumnName(*item.expr));
   }
-  std::vector<std::string> out_fields;
-  for (const auto& it : items) out_fields.push_back(it.name);
   Table output(out_fields);
 
   for (const auto& row : input.rows()) {
     RowEnvironment env(input, row);
     ValueList out_row;
-    out_row.reserve(items.size());
-    for (const auto& it : items) {
-      if (it.expr == nullptr) {
-        out_row.push_back(row[input.FieldIndex(it.name)]);
+    out_row.reserve(out_fields.size());
+    for (int c : star_cols) out_row.push_back(row[c]);
+    for (size_t i = 0; i < body.items.size(); ++i) {
+      if (compiled != nullptr) {
+        GQL_ASSIGN_OR_RETURN(const Value* v, compiled->items[i].Evaluate(row));
+        out_row.push_back(*v);
       } else {
-        GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*it.expr, env, ctx));
+        GQL_ASSIGN_OR_RETURN(Value v,
+                             EvaluateExpr(*body.items[i].expr, env, ctx));
         out_row.push_back(std::move(v));
       }
     }
@@ -502,8 +526,8 @@ Result<Table> ProjectRows(const ProjectionBody& body, const Table& input,
       // merged output-shadows-input environment, before the source row
       // goes out of reach of the merge stage.
       GQL_ASSIGN_OR_RETURN(
-          ValueList k,
-          OrderKeysForRow(body, output, out_row, &row, &input, ctx));
+          ValueList k, OrderKeysForRow(body, output, out_row, &row, &input,
+                                       ctx, compiled));
       keys->push_back(std::move(k));
     }
     output.AddRow(std::move(out_row));
@@ -512,23 +536,93 @@ Result<Table> ProjectRows(const ProjectionBody& body, const Table& input,
 }
 
 Result<Table> EvaluateProjection(const ProjectionBody& body,
-                                 const Table& input, const EvalContext& ctx) {
+                                 const Table& input, const EvalContext& ctx,
+                                 const CompiledProjection* compiled) {
   if (ProjectionAggregates(body)) {
     GQL_ASSIGN_OR_RETURN(AggregationState state,
                          AggregationState::Plan(body, input.fields()));
-    GQL_RETURN_IF_ERROR(state.Accumulate(input, ctx));
+    GQL_RETURN_IF_ERROR(state.Accumulate(input, ctx, compiled));
     GQL_ASSIGN_OR_RETURN(Table output, state.Finish(ctx));
-    return ApplyProjectionTail(body, std::move(output), nullptr, &input, ctx);
+    return ApplyProjectionTail(body, std::move(output), nullptr, &input, ctx,
+                               compiled);
   }
 
-  GQL_ASSIGN_OR_RETURN(Table output, ProjectRows(body, input, ctx, nullptr));
+  GQL_ASSIGN_OR_RETURN(Table output,
+                       ProjectRows(body, input, ctx, nullptr, compiled));
   // Track the input row that produced each output row (for ORDER BY on
   // pre-projection variables).
   std::vector<const ValueList*> source_rows;
   source_rows.reserve(input.NumRows());
   for (const auto& row : input.rows()) source_rows.push_back(&row);
   return ApplyProjectionTail(body, std::move(output), &source_rows, &input,
-                             ctx);
+                             ctx, compiled);
+}
+
+// ---- CompiledProjection -----------------------------------------------------
+
+namespace {
+
+/// The output column names of a body over input columns `input_fields`:
+/// the visible (non-'#') input columns for `*`, then one per item.
+std::vector<std::string> ProjectionOutputFields(
+    const ProjectionBody& body, const std::vector<std::string>& input_fields) {
+  std::vector<std::string> out;
+  if (body.star) {
+    for (const auto& f : input_fields) {
+      if (f.empty() || f[0] != '#') out.push_back(f);
+    }
+  }
+  for (const auto& item : body.items) {
+    out.push_back(item.alias ? *item.alias : DerivedColumnName(*item.expr));
+  }
+  return out;
+}
+
+}  // namespace
+
+CompiledProjection CompiledProjection::Compile(
+    const ProjectionBody& body, const std::vector<std::string>& input_fields) {
+  CompiledProjection c;
+  const bool aggregates = ProjectionAggregates(body);
+  for (const auto& item : body.items) {
+    if (!ContainsAggregate(*item.expr)) {
+      c.items.push_back(CompiledExpr::Compile(*item.expr, input_fields));
+      continue;
+    }
+    c.items.emplace_back();
+    // The same extraction AggregationState::Plan runs, so the arguments
+    // line up with its slots.
+    std::vector<AggSlot> slots;
+    ExtractAggregates(*item.expr, &slots);
+    for (AggSlot& slot : slots) {
+      c.agg_args.push_back(slot.arg != nullptr
+                               ? CompiledExpr::Compile(*slot.arg, input_fields)
+                               : CompiledExpr());
+      c.agg_arg_exprs.push_back(std::move(slot.arg));
+    }
+  }
+  // ORDER BY sees the output row, and the source row after it only where
+  // ApplyProjectionTail pairs them: no aggregation, no DISTINCT.
+  std::vector<std::string> out_fields =
+      ProjectionOutputFields(body, input_fields);
+  const std::vector<std::string> no_fields;
+  const std::vector<std::string>& source_fields =
+      aggregates || body.distinct ? no_fields : input_fields;
+  for (const auto& o : body.order_by) {
+    auto it = std::find(out_fields.begin(), out_fields.end(),
+                        DerivedColumnName(*o.expr));
+    c.order_cols.push_back(
+        it == out_fields.end() ? -1 : static_cast<int>(it - out_fields.begin()));
+    c.order_keys.push_back(
+        CompiledExpr::Compile(*o.expr, out_fields, source_fields));
+  }
+  return c;
+}
+
+void CompiledProjection::Bind(const EvalContext& ctx) {
+  for (auto* group : {&items, &agg_args, &order_keys}) {
+    for (CompiledExpr& e : *group) e.Bind(ctx);
+  }
 }
 
 }  // namespace gqlite

@@ -6,10 +6,41 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/eval/evaluator.h"
 #include "src/frontend/ast.h"
 #include "src/interp/table.h"
 
 namespace gqlite {
+
+/// A projection body's per-row expressions compiled against its input
+/// fields (see CompiledExpr): the Volcano runtime's form. The helpers
+/// below take one as an optional last argument. Without it, as in the
+/// reference interpreter, they resolve every name per row.
+struct CompiledProjection {
+  /// Compiles `body` for input rows whose columns are `input_fields`: the
+  /// child's columns for an aggregating body, the visible ones (planner
+  /// '#' columns stripped) for a non-aggregating `*`.
+  static CompiledProjection Compile(
+      const ast::ProjectionBody& body,
+      const std::vector<std::string>& input_fields);
+  /// Binds every compiled expression (CompiledExpr::Bind).
+  void Bind(const EvalContext& ctx);
+
+  /// Per body item: the item over the input row. Empty for aggregating
+  /// items, which are evaluated per group, by name.
+  std::vector<CompiledExpr> items;
+  /// Per aggregate, in AggregationState's slot order: its argument over
+  /// the input row (empty for count(*)).
+  std::vector<CompiledExpr> agg_args;
+  /// Per ORDER BY key: the output column it names, or -1 when
+  /// order_keys[i] evaluates it over the output row (and, for a
+  /// non-aggregating body without DISTINCT, over its source row next).
+  std::vector<int> order_cols;
+  std::vector<CompiledExpr> order_keys;
+  /// The aggregate arguments, pulled out of item clones; agg_args point
+  /// into them.
+  std::vector<ast::ExprPtr> agg_arg_exprs;
+};
 
 /// Evaluates a RETURN/WITH projection body over a driving table
 /// (Figures 6/7 rules for RETURN/WITH, extended with the standard
@@ -27,7 +58,8 @@ namespace gqlite {
 /// ORDER BY sees the projected columns; for non-aggregating projections it
 /// may also reference the pre-projection variables (output shadows input).
 Result<Table> EvaluateProjection(const ast::ProjectionBody& body,
-                                 const Table& input, const EvalContext& ctx);
+                                 const Table& input, const EvalContext& ctx,
+                                 const CompiledProjection* compiled = nullptr);
 
 /// True if any projection item contains an aggregate function call (the
 /// body groups rather than maps).
@@ -65,13 +97,16 @@ class AggregationState {
   /// Folds every row of `input` into the group accumulators. The table's
   /// columns must be positionally compatible with the fields this state
   /// was planned against.
-  Status Accumulate(const Table& input, const EvalContext& ctx);
+  Status Accumulate(const Table& input, const EvalContext& ctx,
+                    const CompiledProjection* compiled = nullptr);
 
   /// Folds one row (positionally compatible with the planned input
   /// fields) into the group accumulators — the streaming entry point: the
   /// batched and parallel runtimes feed morsels straight into the state
-  /// without materializing the pre-aggregation table.
-  Status AccumulateRow(const ValueList& row, const EvalContext& ctx);
+  /// without materializing the pre-aggregation table. `compiled`, when
+  /// given, must be compiled from the same body and input fields.
+  Status AccumulateRow(const ValueList& row, const EvalContext& ctx,
+                       const CompiledProjection* compiled = nullptr);
 
   /// Absorbs a partial that accumulated a LATER partition of the input
   /// (merge in partition order). `other` must be planned from the same
@@ -102,7 +137,7 @@ class AggregationState {
 Result<Table> ApplyProjectionTail(
     const ast::ProjectionBody& body, Table output,
     const std::vector<const ValueList*>* source_rows, const Table* input,
-    const EvalContext& ctx);
+    const EvalContext& ctx, const CompiledProjection* compiled = nullptr);
 
 /// The map stage of a NON-aggregating projection body over a chunk of
 /// input rows: one output row per input row, with no tail (DISTINCT /
@@ -114,19 +149,22 @@ Result<Table> ApplyProjectionTail(
 /// rows) alive into the merge; ApplyProjectionTail shares the per-row key
 /// helper below, so the two paths cannot drift.
 Result<Table> ProjectRows(const ast::ProjectionBody& body, const Table& input,
-                          const EvalContext& ctx,
-                          std::vector<ValueList>* keys);
+                          const EvalContext& ctx, std::vector<ValueList>* keys,
+                          const CompiledProjection* compiled = nullptr);
 
 /// The ORDER BY key row of one projected row. A key expression that
 /// textually matches a projected column resolves to that column (alias
 /// resolution); others evaluate against the output row, with `source` /
 /// `input` (both optional) supplying the pre-projection variables (output
 /// shadows input). Pass source == nullptr for aggregated or
-/// post-DISTINCT rows, which have no source pairing.
+/// post-DISTINCT rows, which have no source pairing. With `compiled`, the
+/// column match was resolved once, at compile time.
 Result<ValueList> OrderKeysForRow(const ast::ProjectionBody& body,
                                   const Table& output, const ValueList& row,
                                   const ValueList* source, const Table* input,
-                                  const EvalContext& ctx);
+                                  const EvalContext& ctx,
+                                  const CompiledProjection* compiled =
+                                      nullptr);
 
 /// Three-way comparison of two precomputed ORDER BY key rows under
 /// `body`'s sort spec (per-key ascending/descending over ValueOrder).

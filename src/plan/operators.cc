@@ -47,12 +47,29 @@ bool TypeOk(const PropertyGraph& g, const ExpandSpec& spec, RelId r) {
   return false;
 }
 
-/// Resolves the spec's type names against the bound graph (call from
-/// Open(): the graph is fixed per execution, ids are stable per graph).
-void ResolveTypeIds(const PropertyGraph& g, ExpandSpec* spec) {
+/// Compiles the spec's relationship-property constraint values against
+/// the driving row's columns (call from the constructor).
+void CompileRelProps(const std::vector<std::string>& schema,
+                     ExpandSpec* spec) {
+  if (spec->rel_props == nullptr) return;
+  for (const auto& [key, value] : *spec->rel_props) {
+    spec->rel_prop_values.push_back(CompiledExpr::Compile(*value, schema));
+  }
+}
+
+/// Resolves the spec's type names and property keys against the bound
+/// graph and binds its property values (call from Open(): the graph is
+/// fixed per execution, ids are stable per graph).
+void BindSpec(const ExecContext& ctx, ExpandSpec* spec) {
+  const PropertyGraph& g = *ctx.graph;
   spec->type_ids.clear();
-  spec->type_ids.reserve(spec->types.size());
   for (const auto& t : spec->types) spec->type_ids.push_back(g.LookupType(t));
+  spec->rel_prop_keys.clear();
+  if (spec->rel_props == nullptr) return;
+  for (const auto& [key, value] : *spec->rel_props) {
+    spec->rel_prop_keys.push_back(g.keys().Lookup(key));
+  }
+  for (CompiledExpr& e : spec->rel_prop_values) e.Bind(ctx.eval);
 }
 
 }  // namespace
@@ -60,23 +77,19 @@ void ResolveTypeIds(const PropertyGraph& g, ExpandSpec* spec) {
 // ---- LazyPropWants ----------------------------------------------------------
 
 Result<bool> LazyPropWants::Ok(const ExecContext& ctx, const ExpandSpec& spec,
-                               const std::vector<std::string>& schema,
                                const ValueList& row, RelId r) {
-  if (spec.rel_props == nullptr) return true;
-  const auto& props = *spec.rel_props;
-  for (size_t i = 0; i < props.size(); ++i) {
+  const auto& values = spec.rel_prop_values;
+  for (size_t i = 0; i < values.size(); ++i) {
     if (i >= wants_.size()) {
       // Key i's constraint value is evaluated at the first candidate
       // that survives keys 0..i-1 — exactly when the per-candidate
       // reference check would evaluate it, so an erroring expression
       // behind a mismatching earlier key stays unevaluated.
-      SchemaRowEnvironment env(schema, row);
-      GQL_ASSIGN_OR_RETURN(Value want,
-                           EvaluateExpr(*props[i].second, env, ctx.eval));
-      wants_.push_back(std::move(want));
+      GQL_ASSIGN_OR_RETURN(const Value* want, values[i].Evaluate(row));
+      wants_.push_back(*want);
     }
-    if (ValueEquals(ctx.graph->RelProperty(r, props[i].first), wants_[i]) !=
-        Tri::kTrue) {
+    if (ValueEquals(ctx.graph->RelPropertyById(r, spec.rel_prop_keys[i]),
+                    wants_[i]) != Tri::kTrue) {
       return false;
     }
   }
@@ -195,6 +208,7 @@ ExpandOp::ExpandOp(OperatorPtr child, const ExecContext* ctx, ExpandSpec spec)
     : Operator(nullptr, {}), ctx_(ctx), spec_(std::move(spec)) {
   child_ = std::move(child);
   schema_ = child_->schema();
+  CompileRelProps(schema_, &spec_);
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
 }
@@ -203,7 +217,7 @@ Status ExpandOp::Open() {
   input_.Reset();
   adj_pos_ = 0;
   props_.Reset();
-  ResolveTypeIds(*ctx_->graph, &spec_);
+  BindSpec(*ctx_, &spec_);
   return child_->Open();
 }
 
@@ -216,7 +230,7 @@ Result<bool> ExpandOp::RelMatches(RelId r, const ValueList& row,
     return false;
   }
   GQL_ASSIGN_OR_RETURN(bool props_ok,
-                       props_.Ok(*ctx_, spec_, child_->schema(), row, r));
+                       props_.Ok(*ctx_, spec_, row, r));
   if (!props_ok) return false;
   if (spec_.bound_rel_col >= 0) {
     const Value& bound = row[spec_.bound_rel_col];
@@ -328,6 +342,7 @@ HashJoinExpandOp::HashJoinExpandOp(OperatorPtr child, const ExecContext* ctx,
     : Operator(nullptr, {}), ctx_(ctx), spec_(std::move(spec)) {
   child_ = std::move(child);
   schema_ = child_->schema();
+  CompileRelProps(schema_, &spec_);
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
 }
@@ -335,7 +350,7 @@ HashJoinExpandOp::HashJoinExpandOp(OperatorPtr child, const ExecContext* ctx,
 Status HashJoinExpandOp::Open() {
   input_.Reset();
   probing_ = false;
-  ResolveTypeIds(*ctx_->graph, &spec_);
+  BindSpec(*ctx_, &spec_);
   if (!built_) {
     // Build side: scan the entire relationship store (the indirection the
     // adjacency-based Expand avoids).
@@ -394,9 +409,7 @@ Result<bool> HashJoinExpandOp::NextBatchImpl(RowBatch* out) {
           continue;
         }
       }
-      GQL_ASSIGN_OR_RETURN(
-          bool props_ok,
-          props_.Ok(*ctx_, spec_, child_->schema(), *in, r));
+      GQL_ASSIGN_OR_RETURN(bool props_ok, props_.Ok(*ctx_, spec_, *in, r));
       if (!props_ok) continue;
       NodeId from = (*in)[spec_.from_col].AsNode();
       NodeId next = g.OtherEnd(r, from);
@@ -431,6 +444,7 @@ VarLengthExpandOp::VarLengthExpandOp(OperatorPtr child, const ExecContext* ctx,
       max_(max) {
   child_ = std::move(child);
   schema_ = child_->schema();
+  CompileRelProps(schema_, &spec_);
   if (!spec_.rel_var.empty()) schema_.push_back(spec_.rel_var);
   if (spec_.to_col < 0) schema_.push_back(spec_.to_var);
 }
@@ -439,7 +453,7 @@ Status VarLengthExpandOp::Open() {
   input_.Clear();
   pending_size_ = 0;
   pos_in_pending_ = 0;
-  ResolveTypeIds(*ctx_->graph, &spec_);
+  BindSpec(*ctx_, &spec_);
   return child_->Open();
 }
 
@@ -457,7 +471,6 @@ ValueList& VarLengthExpandOp::NextPendingSlot() {
 Status VarLengthExpandOp::ExpandBatch() {
   const PropertyGraph& g = *ctx_->graph;
   pending_size_ = 0;
-  const std::vector<std::string>& in_schema = child_->schema();
   size_t n = input_.size();
 
   // Per-row lazily-hoisted relationship property constraint values.
@@ -530,7 +543,7 @@ Status VarLengthExpandOp::ExpandBatch() {
         if (spec_.rel_props != nullptr) {
           GQL_ASSIGN_OR_RETURN(
               bool props_ok,
-              wants[e.row].Ok(*ctx_, spec_, in_schema, in, r));
+              wants[e.row].Ok(*ctx_, spec_, in, r));
           if (!props_ok) return Status::OK();
         }
         NodeId src = g.Source(r);
@@ -618,12 +631,16 @@ std::string VarLengthExpandOp::Describe() const {
 
 FilterOp::FilterOp(OperatorPtr child, const ExecContext* ctx,
                    const ast::Expr* pred)
-    : Operator(nullptr, {}), ctx_(ctx), pred_(pred) {
+    : Operator(nullptr, {}), ctx_(ctx) {
   child_ = std::move(child);
   schema_ = child_->schema();
+  pred_ = CompiledExpr::Compile(*pred, schema_);
 }
 
-Status FilterOp::Open() { return child_->Open(); }
+Status FilterOp::Open() {
+  pred_.Bind(ctx_->eval);
+  return child_->Open();
+}
 
 Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
   while (true) {
@@ -631,9 +648,7 @@ Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
     if (!ok) return false;
     keep_.clear();
     for (uint32_t i = 0; i < out->size(); ++i) {
-      SchemaRowEnvironment env(schema_, out->row(i));
-      GQL_ASSIGN_OR_RETURN(Tri keep,
-                           EvaluatePredicate(*pred_, env, ctx_->eval));
+      GQL_ASSIGN_OR_RETURN(Tri keep, pred_.EvaluatePredicate(out->row(i)));
       if (keep == Tri::kTrue) keep_.push_back(i);
     }
     if (keep_.empty()) continue;  // whole morsel filtered out; pull more
@@ -698,12 +713,16 @@ Result<bool> ApplyOp::NextBatchImpl(RowBatch* out) {
 
 UnwindOp::UnwindOp(OperatorPtr child, const ExecContext* ctx,
                    const ast::Expr* expr, std::string var)
-    : Operator(nullptr, {}), ctx_(ctx), expr_(expr), var_(var) {
+    : Operator(nullptr, {}),
+      ctx_(ctx),
+      expr_(CompiledExpr::Compile(*expr, child->schema())),
+      var_(var) {
   child_ = std::move(child);
   schema_ = Extend(child_->schema(), {var});
 }
 
 Status UnwindOp::Open() {
+  expr_.Bind(ctx_->eval);
   input_.Reset();
   row_ready_ = false;
   return child_->Open();
@@ -715,17 +734,16 @@ Result<bool> UnwindOp::NextBatchImpl(RowBatch* out) {
                          input_.Current(child_.get(), out->capacity()));
     if (in == nullptr) break;
     if (!row_ready_) {
-      SchemaRowEnvironment env(child_->schema(), *in);
-      GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*expr_, env, ctx_->eval));
+      GQL_ASSIGN_OR_RETURN(const Value* v, expr_.Evaluate(*in));
       item_pos_ = 0;
       single_pending_ = false;
-      if (v.is_list()) {
-        items_ = std::move(v);  // share the payload; no element copies
+      if (v->is_list()) {
+        items_ = *v;  // share the payload; no element copies
       } else {
         static const Value kSharedEmptyList = Value::EmptyList();
         items_ = kSharedEmptyList;  // refcount bump, no allocation
         single_pending_ = true;
-        single_value_ = std::move(v);
+        single_value_ = *v;
       }
       row_ready_ = true;
     }
@@ -754,15 +772,30 @@ ProjectionOp::ProjectionOp(OperatorPtr child, const ExecContext* ctx,
     : Operator(nullptr, std::move(schema)), ctx_(ctx), body_(body),
       where_(where) {
   child_ = std::move(child);
+  // An aggregating body reads the child's rows as they are; a
+  // non-aggregating `*` first strips the planner's '#' columns.
+  std::vector<std::string> input = child_->schema();
+  if (body_->star && !ProjectionAggregates(*body_)) {
+    input.erase(std::remove_if(input.begin(), input.end(),
+                               [](const std::string& f) {
+                                 return !f.empty() && f[0] == '#';
+                               }),
+                input.end());
+  }
+  exprs_ = CompiledProjection::Compile(*body_, input);
+  if (where_ != nullptr) where_expr_ = CompiledExpr::Compile(*where_, schema_);
+}
+
+void ProjectionOp::Bind() {
+  exprs_.Bind(ctx_->eval);
+  where_expr_.Bind(ctx_->eval);
 }
 
 Result<Table> ProjectionOp::FilterWhere(Table result) const {
   if (where_ == nullptr) return result;
   Table filtered(result.fields());
   for (auto& r : result.mutable_rows()) {
-    RowEnvironment env(result, r);
-    GQL_ASSIGN_OR_RETURN(Tri keep,
-                         EvaluatePredicate(*where_, env, ctx_->eval));
+    GQL_ASSIGN_OR_RETURN(Tri keep, where_expr_.EvaluatePredicate(r));
     if (keep == Tri::kTrue) filtered.AddRow(std::move(r));
   }
   return filtered;
@@ -801,14 +834,14 @@ Table StripHiddenColumns(Table input) {
 Result<Table> ProjectionOp::ProjectTable(Table input) const {
   if (body_->star) input = StripHiddenColumns(std::move(input));
   GQL_ASSIGN_OR_RETURN(Table result,
-                       EvaluateProjection(*body_, input, ctx_->eval));
+                       EvaluateProjection(*body_, input, ctx_->eval, &exprs_));
   return FilterWhere(std::move(result));
 }
 
 Result<Table> ProjectionOp::ProjectChunk(Table input,
                                          std::vector<ValueList>* keys) const {
   if (body_->star) input = StripHiddenColumns(std::move(input));
-  return ProjectRows(*body_, input, ctx_->eval, keys);
+  return ProjectRows(*body_, input, ctx_->eval, keys, &exprs_);
 }
 
 void ProjectionOp::PreloadResult(Table result) {
@@ -817,6 +850,7 @@ void ProjectionOp::PreloadResult(Table result) {
 }
 
 Status ProjectionOp::Open() {
+  Bind();
   if (has_preloaded_) {
     // The parallel merge stages already produced this breaker's output
     // (projection, tail and WHERE included); stream it without touching
@@ -839,13 +873,14 @@ Status ProjectionOp::Open() {
       GQL_ASSIGN_OR_RETURN(bool ok, child_->NextBatch(&batch));
       if (!ok) break;
       for (size_t i = 0; i < batch.size(); ++i) {
-        GQL_RETURN_IF_ERROR(state.AccumulateRow(batch.row(i), ctx_->eval));
+        GQL_RETURN_IF_ERROR(
+            state.AccumulateRow(batch.row(i), ctx_->eval, &exprs_));
       }
     }
     GQL_ASSIGN_OR_RETURN(Table grouped, state.Finish(ctx_->eval));
     GQL_ASSIGN_OR_RETURN(
         grouped, ApplyProjectionTail(*body_, std::move(grouped), nullptr,
-                                     nullptr, ctx_->eval));
+                                     nullptr, ctx_->eval, &exprs_));
     GQL_ASSIGN_OR_RETURN(result_, FilterWhere(std::move(grouped)));
   } else {
     GQL_ASSIGN_OR_RETURN(Table input,

@@ -126,11 +126,14 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Shared runtime state for a plan. Execution-scoped fields
-/// (eval.parameters, eval.rand_state) are REBOUND by the engine before
-/// each execution of a cached plan — everything that reads them must go
-/// through this struct at call time rather than copying them at plan
-/// time.
+/// Shared runtime state for a plan. Execution-scoped fields (graph,
+/// eval.graph, eval.parameters, eval.rand_state) are REBOUND by the
+/// engine before each execution of a cached plan. Everything that reads
+/// them goes through this struct at call time, or reads it in Bind:
+/// each operator's Open() binds its compiled expressions
+/// (CompiledExpr::Bind) to this execution's snapshot and parameters, and
+/// the parallel runtime binds the projections whose Open() it skips.
+/// Nothing copies execution-scoped state at plan time.
 struct ExecContext {
   const PropertyGraph* graph = nullptr;
   /// Keeps `graph` alive for the plan's lifetime. A cached plan reads only
@@ -260,6 +263,10 @@ struct ExpandSpec {
   /// the driving row (fused into the expand; a candidate relationship must
   /// carry equal values). Not owned.
   const std::vector<std::pair<std::string, ast::ExprPtr>>* rel_props = nullptr;
+  /// `rel_props` values compiled against the driving row (by each expand
+  /// operator's constructor) and their keys, both bound by its Open().
+  std::vector<CompiledExpr> rel_prop_values;
+  std::vector<SymbolId> rel_prop_keys;
 };
 
 /// Lazily-hoisted relationship-property constraint values for one
@@ -284,7 +291,6 @@ class LazyPropWants {
   /// True if candidate `r` satisfies the constraints of `spec` for
   /// `row`; evaluates constraint values on first use per row and key.
   Result<bool> Ok(const ExecContext& ctx, const ExpandSpec& spec,
-                  const std::vector<std::string>& schema,
                   const ValueList& row, RelId r);
 
  private:
@@ -404,7 +410,7 @@ class FilterOp : public Operator {
 
  private:
   const ExecContext* ctx_;
-  const ast::Expr* pred_;
+  CompiledExpr pred_;
   std::vector<uint32_t> keep_;
 };
 
@@ -452,7 +458,7 @@ class UnwindOp : public Operator {
 
  private:
   const ExecContext* ctx_;
-  const ast::Expr* expr_;
+  CompiledExpr expr_;
   std::string var_;
   BatchCursor input_;
   bool row_ready_ = false;
@@ -505,14 +511,22 @@ class ProjectionOp : public Operator {
   /// stages, then the remaining serial operators stream it as usual.
   void PreloadResult(Table result);
 
+  /// Binds the compiled items, aggregate arguments, ORDER BY keys and
+  /// WHERE to the current execution. Open() calls it; the parallel runtime
+  /// calls it on the worker and merge projections, whose Open() it skips.
+  void Bind();
+
   const ast::ProjectionBody* body() const { return body_; }
   const ast::Expr* where() const { return where_; }
   const ExecContext* exec_context() const { return ctx_; }
+  const CompiledProjection& exprs() const { return exprs_; }
 
  private:
   const ExecContext* ctx_;
   const ast::ProjectionBody* body_;
   const ast::Expr* where_;
+  CompiledProjection exprs_;
+  CompiledExpr where_expr_;  // over the projected row; empty without WHERE
   Table result_;
   size_t pos_ = 0;
   bool has_preloaded_ = false;

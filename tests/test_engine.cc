@@ -9,6 +9,8 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "src/core/database.h"
 #include "src/workload/generators.h"
@@ -352,6 +354,146 @@ TEST(Engine, RandIsDeterministicPerSeed) {
 // silently clamped would mean the leg stops testing what it claims to.
 // Opening a database must reject garbage with a clear error naming the
 // variable.
+
+// ---- Compiled expressions -------------------------------------------------
+// The Volcano runtime compiles each operator's expressions once per plan
+// and binds them in every Open(); a cached plan is rebound to each
+// execution's graph and parameters. These run on the default options:
+// Volcano, plan cache on.
+
+/// The single integer of `r`'s single row, or -1.
+int64_t SingleInt(const Result<QueryResult>& r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok() || r->table.NumRows() != 1) return -1;
+  return r->table.rows()[0][0].AsInt();
+}
+
+TEST(CompiledExprs, CachedPlanBindsKeysAtEveryOpen) {
+  // No node has key `k` when the plan is compiled and first run, so that
+  // execution binds `k` as absent. The SET interns it; the cached plan
+  // must resolve it again at its next Open(), both on the same live graph
+  // object (inside the write transaction) and on the snapshot the commit
+  // publishes.
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:X {v: 1}), (:X {v: 2}), (:X {v: 3})").ok());
+  auto prepared =
+      db.Prepare("MATCH (n:X) WHERE n.k = $v RETURN count(n) AS c");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ValueMap params{{"v", Value::Int(7)}};
+
+  auto session = db.CreateSession();
+  ASSERT_TRUE(session->Begin(TxnMode::kWrite).ok());
+  EXPECT_EQ(SingleInt(session->Execute(*prepared, params)), 0);
+  ASSERT_TRUE(session->Execute("MATCH (n:X) WHERE n.v <= 2 SET n.k = 7").ok());
+  uint64_t hits = db.engine().plan_cache_stats().hits;
+  EXPECT_EQ(SingleInt(session->Execute(*prepared, params)), 2);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, hits + 1);
+  ASSERT_TRUE(session->Commit().ok());
+
+  hits = db.engine().plan_cache_stats().hits;
+  EXPECT_EQ(SingleInt(db.Execute(*prepared, params)), 2);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, hits + 1);
+}
+
+TEST(CompiledExprs, CachedPlanRebindsParameters) {
+  Database db = testutil::OpenOn();
+  ASSERT_TRUE(db.Execute("CREATE (:X {v: 1}), (:X {v: 2}), (:X {v: 2})").ok());
+  auto prepared =
+      db.Prepare("MATCH (n:X) WHERE n.v = $v RETURN count(n) AS c");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ValueMap one{{"v", Value::Int(1)}};
+  ValueMap two{{"v", Value::Int(2)}};
+  EXPECT_EQ(SingleInt(db.Execute(*prepared, one)), 1);
+  uint64_t hits = db.engine().plan_cache_stats().hits;
+  EXPECT_EQ(SingleInt(db.Execute(*prepared, two)), 2);
+  EXPECT_EQ(SingleInt(db.Execute(*prepared, one)), 1);
+  EXPECT_EQ(db.engine().plan_cache_stats().hits, hits + 2);
+
+  auto missing = db.Execute(*prepared, ValueMap{});
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().ToString(),
+            "EvaluationError: missing query parameter $v");
+}
+
+/// Opens one database per runtime over the same statement.
+struct BothRuntimes {
+  explicit BothRuntimes(const char* setup) {
+    EngineOptions interp;
+    interp.mode = ExecutionMode::kInterpreter;
+    dbs.push_back(testutil::OpenOn(nullptr, interp));
+    dbs.push_back(testutil::OpenOn());
+    for (Database& db : dbs) {
+      auto r = db.Execute(setup);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
+  }
+  std::vector<Database> dbs;  // interpreter, Volcano
+};
+
+TEST(CompiledExprs, LeavesAgreeWithTheInterpreter) {
+  BothRuntimes both(
+      "CREATE (a:X:Y {name: 'a', v: 1})-[:R {w: 5}]->(b:X {name: 'b', v: 2}),"
+      " (b)-[:R {w: 1}]->(a), (a)-[:R]->(:Z {name: 'c'})");
+  const ValueMap params{{"w", Value::Int(5)}};
+  const std::vector<std::pair<const char*, size_t>> queries = {
+      // A relationship property in a filter, and fused into the expand.
+      {"MATCH (a)-[r:R]->(b) WHERE r.w > 2 RETURN a.name, b.name", 1},
+      {"MATCH (a)-[r:R {w: $w}]->(b) RETURN a.name, b.name", 1},
+      {"MATCH (a)-[r:R]->(b) WHERE r.w IS NULL RETURN b.name", 1},
+      // Label checks, one of a label no node carries.
+      {"MATCH (n) WHERE n:X AND NOT n:Y RETURN n.name", 1},
+      {"MATCH (n) WHERE n:Nope OR n.v IS NULL RETURN n.name", 1},
+      // Properties of map values: from a row, of a temporary map, nested.
+      {"UNWIND [{a: 1, b: 'x'}, {a: 2, b: 'y'}] AS m WITH m WHERE m.a = 2 "
+       "RETURN m.b",
+       1},
+      {"UNWIND [1, 2] AS x RETURN {v: x}.v AS y", 2},
+      {"WITH {a: {b: 5}} AS m RETURN m.a.b, m.nope", 1},
+      // Items, grouping keys, aggregate arguments and ORDER BY keys.
+      {"MATCH (n:X) RETURN n.name, n.v * 10 + 1 AS w ORDER BY w DESC", 2},
+      {"MATCH (n:X) RETURN n.name ORDER BY n.v DESC", 2},
+      {"MATCH (n) RETURN n.v % 2 AS parity, count(*) AS c, "
+       "collect(n.name) AS names ORDER BY parity",
+       3},
+      {"MATCH (n:X) WITH n.v AS v, n WHERE v > 1 RETURN n.name", 1},
+      {"MATCH (n) UNWIND labels(n) AS l RETURN l, count(*) ORDER BY l", 3},
+  };
+  for (const auto& [q, rows] : queries) {
+    auto expected = both.dbs[0].Execute(q, params);
+    auto got = both.dbs[1].Execute(q, params);
+    ASSERT_TRUE(expected.ok()) << q << ": " << expected.status().ToString();
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    EXPECT_EQ(got->table.NumRows(), rows) << q;
+    EXPECT_EQ(got->table.ToString(), expected->table.ToString()) << q;
+  }
+}
+
+TEST(CompiledExprs, ErrorsMatchTheInterpreter) {
+  BothRuntimes both("CREATE (:X {name: 'a', v: 1})");
+  const char* queries[] = {
+      "MATCH (n:X) WHERE n.name AND 1/0 = 1 RETURN n",
+      "MATCH (n:X) WHERE n.v RETURN n",
+      // AND, OR and XOR evaluate both sides before checking either.
+      "MATCH (n:X) WHERE n.name OR 1/0 = 1 RETURN n",
+      "MATCH (n:X) WHERE n.name XOR n.v = 1 RETURN n",
+      "MATCH (n:X) WHERE n.v = 1 OR n.name RETURN n",
+      "MATCH (n:X) WHERE NOT n.v RETURN n",
+      "MATCH (n:X) WHERE n.v.year = 1 RETURN n",
+      "MATCH (n:X) RETURN n.v - n.name AS bad",
+      "MATCH (n:X) RETURN n.name ORDER BY n.v / 0",
+      "MATCH (n:X) RETURN count(n.v / 0)",
+      "MATCH (n:X) RETURN n.v / 0 AS k, count(*)",
+      "MATCH (n:X) WHERE n.v = $missing RETURN n",
+      "UNWIND [1] AS x RETURN x / 0",
+  };
+  for (const char* q : queries) {
+    auto expected = both.dbs[0].Execute(q);
+    auto got = both.dbs[1].Execute(q);
+    ASSERT_FALSE(expected.ok()) << q;
+    ASSERT_FALSE(got.ok()) << q;
+    EXPECT_EQ(got.status().ToString(), expected.status().ToString()) << q;
+  }
+}
 
 /// Sets (or, with nullptr, unsets) an environment variable for the
 /// duration of one test and restores the previous value after (the rest

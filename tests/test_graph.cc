@@ -216,6 +216,23 @@ TEST(Snapshot, CloneIsIndependentAndMutable) {
   EXPECT_FALSE(g.NodeHasLabel(a, "Admin"));
 }
 
+TEST(Clone, IsolatedFromLiveSource) {
+  // Cloning a live (not frozen) graph must make the source's pages read
+  // as shared, or the source's next write lands in the clone's payload.
+  PropertyGraph g;
+  NodeId a = g.CreateNode({"Person"}, {{"x", Value::Int(1)}});
+  auto clone = g.Clone();
+  g.SetNodeProperty(a, "x", Value::Int(2));
+  EXPECT_EQ(clone->NodeProperty(a, "x").AsInt(), 1);
+  EXPECT_EQ(g.NodeProperty(a, "x").AsInt(), 2);
+
+  clone->SetNodeProperty(a, "x", Value::Int(3));
+  clone->CreateNode({"Person"});
+  EXPECT_EQ(g.NodeProperty(a, "x").AsInt(), 2);
+  EXPECT_EQ(g.NumNodes(), 1u);
+  EXPECT_EQ(clone->NodeProperty(a, "x").AsInt(), 3);
+}
+
 TEST(Snapshot, ChainedSnapshotsEachPinTheirEpoch) {
   PropertyGraph g;
   g.CreateNode({"A"});
