@@ -6,9 +6,9 @@
 #include <string>
 #include <string_view>
 
+#include "fixtures/generators.h"
+#include "fixtures/paper_graphs.h"
 #include "src/core/database.h"
-#include "src/workload/generators.h"
-#include "src/workload/paper_graphs.h"
 
 namespace gqlite {
 namespace bench {

@@ -23,9 +23,10 @@ compiler nor clang-tidy enforces:
                  may time themselves, so bench/ is exempt.
 
   graph-mutation PropertyGraph mutator calls in src/ outside the layers
-                 that own writes (src/graph/ itself, src/update/, the
-                 src/workload/ generators, and src/storage/ — WAL replay
-                 reconstructs the graph through the same mutators).
+                 that own writes (src/graph/ itself, src/update/, and
+                 src/storage/ — WAL replay reconstructs the graph
+                 through the same mutators). The fixtures/ generators
+                 live outside src/ and build graphs directly.
                  Engine code must route writes through UpdateExecutor
                  under the session/transaction layer, so the
                  single-writer MVCC discipline (frozen snapshots, COW
@@ -116,7 +117,6 @@ RULES = [
             r"|DetachDeleteNode|DeleteRelationship)\s*\("),
         lambda path: (path.startswith("src/")
                       and not path.startswith(("src/graph/", "src/update/",
-                                               "src/workload/",
                                                "src/storage/"))),
         "direct PropertyGraph mutation outside the write-owning layers; "
         "route writes through UpdateExecutor / the transaction layer",

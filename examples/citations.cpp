@@ -5,11 +5,11 @@
 
 #include <iostream>
 
+#include "fixtures/generators.h"
+#include "fixtures/paper_graphs.h"
 #include "src/core/database.h"
 #include "src/frontend/parser.h"
 #include "src/interp/interpreter.h"
-#include "src/workload/generators.h"
-#include "src/workload/paper_graphs.h"
 
 using namespace gqlite;  // example code; the library is namespaced
 

@@ -20,8 +20,8 @@
 #include <memory>
 #include <string>
 
+#include "fixtures/paper_graphs.h"
 #include "src/core/database.h"
-#include "src/workload/paper_graphs.h"
 
 using namespace gqlite;
 

@@ -1,104 +1,83 @@
-// Graph analytics: combines Cypher querying with the built-in algorithm
-// library (§1: graph databases provide "built-in support for graph
-// algorithms (e.g., Page Rank, subgraph matching and so on)") — PageRank
-// over a citation network, shortest dependency paths, components and
-// triangles in a social graph.
+// Graph analytics in Cypher: the questions a graph-algorithm library is
+// usually asked for, written as queries over the public Database API —
+// the most-cited publications of a citation network, the shortest
+// dependency chain in a data-center network (a variable-length pattern
+// ordered by path length), and a triangle count and degree histogram of
+// a social graph.
 
-#include <algorithm>
 #include <iostream>
-#include <vector>
+#include <string>
 
-#include "src/algo/graph_algorithms.h"
+#include "fixtures/generators.h"
 #include "src/core/database.h"
-#include "src/workload/generators.h"
 
-using namespace gqlite;
+using namespace gqlite;  // example code; the library is namespaced
+
+namespace {
+
+bool Run(Database& db, const std::string& title, const std::string& query) {
+  std::cout << title << "\ncypher> " << query << "\n";
+  auto result = db.Execute(query);
+  if (!result.ok()) {
+    std::cerr << result.status().ToString() << "\n";
+    return false;
+  }
+  std::cout << result->table.ToString() << "\n";
+  return true;
+}
+
+}  // namespace
 
 int main() {
-  // ---- PageRank over citations -------------------------------------------
-  workload::CitationConfig ccfg;
-  ccfg.num_researchers = 120;
-  ccfg.pubs_per_researcher = 3;
-  ccfg.avg_cites_per_pub = 2.5;
-  GraphPtr citations = workload::MakeCitationGraph(ccfg);
-
-  auto pr = algo::PageRank(*citations);
-  std::vector<std::pair<double, NodeId>> ranked;
-  for (const auto& [id, score] : pr) {
-    NodeId n{id};
-    if (citations->NodeHasLabel(n, "Publication")) {
-      ranked.push_back({score, n});
-    }
-  }
-  std::sort(ranked.rbegin(), ranked.rend(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::cout << "Top publications by PageRank over CITES/AUTHORS edges:\n";
-  for (size_t i = 0; i < 5 && i < ranked.size(); ++i) {
-    std::cout << "  acmid "
-              << citations->NodeProperty(ranked[i].second, "acmid").ToString()
-              << "  score " << ranked[i].first << "\n";
-  }
-
-  // Cross-check with a Cypher query: in-degree correlates with PageRank.
   auto opened = Database::OpenInMemory();
   if (!opened.ok()) {
     std::cerr << opened.status().ToString() << "\n";
     return 1;
   }
   Database db = std::move(*opened);
-  db.RegisterGraph("cites", citations);
-  auto top_cited = db.Execute(
-      "FROM GRAPH cites MATCH (p:Publication)<-[:CITES]-(q) "
-      "RETURN p.acmid AS acmid, count(q) AS cites "
-      "ORDER BY cites DESC LIMIT 5");
-  if (top_cited.ok()) {
-    std::cout << "\nTop publications by direct citations (Cypher):\n"
-              << top_cited->table.ToString();
-  }
 
-  // ---- Shortest paths in a dependency network ------------------------------
+  workload::CitationConfig ccfg;
+  ccfg.num_researchers = 120;
+  ccfg.pubs_per_researcher = 3;
+  ccfg.avg_cites_per_pub = 2.5;
+  db.RegisterGraph("cites", workload::MakeCitationGraph(ccfg));
+
   workload::DependencyConfig dcfg;
   dcfg.layers = 4;
   dcfg.per_layer = 20;
   dcfg.fanout = 2;
-  GraphPtr deps = workload::MakeDependencyNetwork(dcfg);
-  algo::TraversalOptions via_depends;
-  via_depends.type = "DEPENDS_ON";
-  // svc-3-5 down to the core.
-  NodeId top = deps->NodesWithLabel("Service")[3 * 20 + 5];
-  NodeId core = deps->NodesWithLabel("Service")[0];
-  auto path = algo::ShortestPath(*deps, top, core, via_depends);
-  std::cout << "\nShortest dependency chain from svc-3-5 to the core: ";
-  if (path) {
-    std::cout << path->length() << " hops\n  " << deps->Render(
-        Value::MakePath(*path)) << "\n";
-  } else {
-    std::cout << "none\n";
-  }
+  db.RegisterGraph("deps", workload::MakeDependencyNetwork(dcfg));
 
-  // ---- Social structure ------------------------------------------------------
   workload::SocialConfig scfg;
   scfg.num_people = 400;
   scfg.avg_friends = 6;
-  GraphPtr soc = workload::MakeSocialNetwork(scfg);
-  auto comp = algo::WeaklyConnectedComponents(*soc);
-  std::unordered_map<uint64_t, size_t> sizes;
-  for (const auto& [node, c] : comp) ++sizes[c];
-  size_t largest = 0;
-  for (const auto& [c, n] : sizes) largest = std::max(largest, n);
-  std::cout << "\nSocial graph: " << sizes.size()
-            << " weakly connected components; largest has " << largest
-            << " of " << soc->NumNodes() << " nodes\n";
-  std::cout << "Triangles (friend-of-a-friend closures): "
-            << algo::TriangleCount(*soc) << "\n";
+  db.RegisterGraph("social", workload::MakeSocialNetwork(scfg));
 
-  std::cout << "Degree histogram (degree: nodes):";
-  auto hist = algo::DegreeHistogram(*soc);
-  size_t shown = 0;
-  for (const auto& [deg, count] : hist) {
-    if (shown++ % 6 == 0) std::cout << "\n  ";
-    std::cout << deg << ": " << count << "   ";
-  }
-  std::cout << "\n";
-  return 0;
+  bool ok =
+      Run(db, "Top publications by direct citations:",
+          "FROM GRAPH cites MATCH (p:Publication)<-[:CITES]-(q) "
+          "RETURN p.acmid AS acmid, count(q) AS cites "
+          "ORDER BY cites DESC, acmid LIMIT 5") &&
+      // Every path from tier 3 down to the core service svc-0-0; the
+      // first one by length is a shortest dependency chain.
+      Run(db, "Shortest dependency chain from svc-3-5 to the core:",
+          "FROM GRAPH deps "
+          "MATCH p = (:Service {name: 'svc-3-5'})-[:DEPENDS_ON*]->"
+          "(:Service {name: 'svc-0-0'}) "
+          "RETURN length(p) AS hops, [n IN nodes(p) | n.name] AS chain "
+          "ORDER BY hops, chain LIMIT 1") &&
+      // Each undirected FRIEND triangle once: its members in id order,
+      // and DISTINCT folds parallel FRIEND edges between the same pair.
+      Run(db, "Triangles (friend-of-a-friend closures):",
+          "FROM GRAPH social "
+          "MATCH (a:Person)-[:FRIEND]-(b:Person)-[:FRIEND]-(c:Person)"
+          "-[:FRIEND]-(a) "
+          "WHERE id(a) < id(b) AND id(b) < id(c) "
+          "WITH DISTINCT a, b, c RETURN count(*) AS triangles") &&
+      Run(db, "Degree histogram (FRIEND relationships per person):",
+          "FROM GRAPH social MATCH (n:Person) "
+          "OPTIONAL MATCH (n)-[f:FRIEND]-() "
+          "WITH n, count(f) AS degree "
+          "RETURN degree, count(*) AS people ORDER BY degree");
+  return ok ? 0 : 1;
 }

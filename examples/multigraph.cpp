@@ -4,8 +4,8 @@
 
 #include <iostream>
 
+#include "fixtures/generators.h"
 #include "src/core/database.h"
-#include "src/workload/generators.h"
 
 using namespace gqlite;
 

@@ -1,6 +1,7 @@
-#include "src/workload/generators.h"
+#include "fixtures/generators.h"
 
 #include <random>
+#include <string_view>
 
 namespace gqlite {
 namespace workload {
@@ -9,6 +10,14 @@ namespace {
 
 PropertyList IdxProp(size_t i) {
   return {{"idx", Value::Int(static_cast<int64_t>(i))}};
+}
+
+/// `prefix` followed by the decimal `i`, appended in order: GCC 12's
+/// -Wrestrict misfires on `"literal" + std::to_string(i)` in Release.
+Value Numbered(std::string_view prefix, size_t i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return Value::String(std::move(s));
 }
 
 }  // namespace
@@ -84,15 +93,13 @@ GraphPtr MakeCitationGraph(const CitationConfig& cfg) {
   int64_t acmid = 100;
   size_t student_no = 0;
   for (size_t i = 0; i < cfg.num_researchers; ++i) {
-    NodeId r = g->CreateNode(
-        {"Researcher"}, {{"name", Value::String("R" + std::to_string(i))}});
+    NodeId r = g->CreateNode({"Researcher"}, {{"name", Numbered("R", i)}});
     for (size_t s = 0; s < cfg.students_per_researcher; ++s) {
       // Every other researcher supervises; mirrors Figure 1 where one
       // researcher has no students.
       if (i % 2 == 0) {
         NodeId st = g->CreateNode(
-            {"Student"},
-            {{"name", Value::String("S" + std::to_string(student_no++))}});
+            {"Student"}, {{"name", Numbered("S", student_no++)}});
         g->CreateRelationship(r, st, "SUPERVISES").value();
       }
     }
@@ -150,14 +157,11 @@ GraphPtr MakeFraudGraph(const FraudConfig& cfg) {
   std::mt19937_64 rng(cfg.seed);
   size_t holder_no = 0;
   auto make_holder = [&] {
-    return g->CreateNode(
-        {"AccountHolder"},
-        {{"uniqueId", Value::String("H" + std::to_string(holder_no++))}});
+    return g->CreateNode({"AccountHolder"},
+                         {{"uniqueId", Numbered("H", holder_no++)}});
   };
   auto pii = [&](const char* label, const char* prefix, size_t i) {
-    return g->CreateNode({label},
-                         {{"value", Value::String(std::string(prefix) +
-                                                  std::to_string(i))}});
+    return g->CreateNode({label}, {{"value", Numbered(prefix, i)}});
   };
   // Fraud rings: ring_size holders share one SSN; half the rings also
   // share a phone number.
@@ -190,13 +194,11 @@ GraphPtr MakeSocialNetwork(const SocialConfig& cfg) {
   std::vector<NodeId> people;
   people.reserve(cfg.num_people);
   for (size_t i = 0; i < cfg.num_people; ++i) {
-    people.push_back(g->CreateNode(
-        {"Person"}, {{"name", Value::String("P" + std::to_string(i))}}));
+    people.push_back(g->CreateNode({"Person"}, {{"name", Numbered("P", i)}}));
   }
   std::vector<NodeId> cities;
   for (size_t c = 0; c < cfg.num_cities; ++c) {
-    cities.push_back(g->CreateNode(
-        {"City"}, {{"name", Value::String("City" + std::to_string(c))}}));
+    cities.push_back(g->CreateNode({"City"}, {{"name", Numbered("City", c)}}));
   }
   std::uniform_int_distribution<size_t> pick_person(0, cfg.num_people - 1);
   std::uniform_int_distribution<size_t> pick_city(0, cfg.num_cities - 1);

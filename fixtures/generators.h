@@ -1,5 +1,5 @@
-#ifndef GQLITE_WORKLOAD_GENERATORS_H_
-#define GQLITE_WORKLOAD_GENERATORS_H_
+#ifndef GQLITE_FIXTURES_GENERATORS_H_
+#define GQLITE_FIXTURES_GENERATORS_H_
 
 #include <cstdint>
 #include <string>
@@ -88,4 +88,4 @@ GraphPtr MakeRandomGraph(size_t n, size_t m, uint64_t seed);
 }  // namespace workload
 }  // namespace gqlite
 
-#endif  // GQLITE_WORKLOAD_GENERATORS_H_
+#endif  // GQLITE_FIXTURES_GENERATORS_H_

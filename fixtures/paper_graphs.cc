@@ -1,4 +1,4 @@
-#include "src/workload/paper_graphs.h"
+#include "fixtures/paper_graphs.h"
 
 namespace gqlite {
 namespace workload {

@@ -1,5 +1,5 @@
-#ifndef GQLITE_WORKLOAD_PAPER_GRAPHS_H_
-#define GQLITE_WORKLOAD_PAPER_GRAPHS_H_
+#ifndef GQLITE_FIXTURES_PAPER_GRAPHS_H_
+#define GQLITE_FIXTURES_PAPER_GRAPHS_H_
 
 #include "src/graph/graph_catalog.h"
 
@@ -42,4 +42,4 @@ SelfLoop MakeSelfLoopGraph();
 }  // namespace workload
 }  // namespace gqlite
 
-#endif  // GQLITE_WORKLOAD_PAPER_GRAPHS_H_
+#endif  // GQLITE_FIXTURES_PAPER_GRAPHS_H_

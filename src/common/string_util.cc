@@ -87,16 +87,6 @@ std::string_view RTrimView(std::string_view s) {
 
 std::string_view TrimView(std::string_view s) { return RTrimView(LTrimView(s)); }
 
-std::string EscapeSingleQuoted(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\'') out += "\\'";
-    else out += c;
-  }
-  return out;
-}
-
 bool StartsWith(std::string_view s, std::string_view piece) {
   return s.size() >= piece.size() && s.substr(0, piece.size()) == piece;
 }

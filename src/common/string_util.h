@@ -30,9 +30,6 @@ std::string_view TrimView(std::string_view s);
 std::string_view LTrimView(std::string_view s);
 std::string_view RTrimView(std::string_view s);
 
-/// Escapes a string for display inside single quotes ('It''s').
-std::string EscapeSingleQuoted(std::string_view s);
-
 /// True if `s` starts with / ends with / contains `piece`.
 bool StartsWith(std::string_view s, std::string_view piece);
 bool EndsWith(std::string_view s, std::string_view piece);

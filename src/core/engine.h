@@ -175,8 +175,7 @@ class CypherEngine {
   /// never the default graph. Internally locked.
   GraphCatalog& catalog() { return catalog_; }
 
-  /// The plan cache (tests/tools may Clear() it or reset its stats — its
-  /// methods lock internally).
+  /// The plan cache (its methods lock internally).
   PlanCache& plan_cache() { return plan_cache_; }
   /// Hit/miss/eviction/invalidation counters (snapshot by value: safe to
   /// call from a monitoring thread while queries execute).

@@ -234,10 +234,6 @@ Result<int64_t> CheckedAddInt64(int64_t a, int64_t b) {
   return r;
 }
 
-Result<Value> AddValues(const Value& a, const Value& b) {
-  return Arith(BinaryOp::kAdd, a, b);
-}
-
 namespace {
 
 Result<Value> Arith(BinaryOp op, const Value& a, const Value& b) {

@@ -62,7 +62,7 @@ class OverlayEnvironment : public Environment {
 };
 
 /// Environment over a schema (column names) and one positional row — the
-/// batched runtime's row view (no Table required). With `second`, the
+/// row view of both runtimes and the update executor. With `second`, the
 /// schema's columns from `first_width` on are `second`'s (CompiledExpr's
 /// two-row view: a projected row, then its source row).
 class SchemaRowEnvironment : public Environment {
@@ -225,9 +225,6 @@ class CompiledExpr {
   const PropertyGraph* bound_graph_ = nullptr;
   const ValueMap* bound_params_ = nullptr;
 };
-
-/// Arithmetic helpers shared with the update executor.
-Result<Value> AddValues(const Value& a, const Value& b);
 
 /// Checked int64 addition shared by the `+` operator and the sum()/avg()
 /// aggregators: raises `EvaluationError: integer overflow` instead of

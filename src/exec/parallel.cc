@@ -549,7 +549,7 @@ Result<Table> ExecutePlanParallel(Plan* plan, WorkerPool* pool,
         for (size_t i = 0; i < deduped.NumRows(); ++i) {
           GQL_ASSIGN_OR_RETURN(
               ValueList keys,
-              OrderKeysForRow(body, deduped, deduped.rows()[i], nullptr,
+              OrderKeysForRow(body, deduped.fields(), deduped.rows()[i],
                               nullptr, merge_eval, &merge_proj->exprs()));
           run.push_back(SortRow{ValueList(), std::move(keys), 0, i});
         }

@@ -129,7 +129,10 @@ std::string DumpToCypher(const PropertyGraph& g) {
     if (!first) out += ",\n       ";
     first = false;
     out += "(n" + std::to_string(i);
-    for (const std::string& l : g.NodeLabels(n)) out += ":" + QuoteIdent(l);
+    for (const std::string& l : g.NodeLabels(n)) {
+      out += ':';
+      out += QuoteIdent(l);
+    }
     auto props = PropsToCypher(g.NodeProperties(n));
     out += props.ok() ? *props : "";
     out += ")";

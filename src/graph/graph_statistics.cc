@@ -19,12 +19,6 @@ double GraphStatistics::RelsWithType(std::string_view type) const {
   return it == g_.TypeCounts().end() ? 0 : static_cast<double>(it->second);
 }
 
-double GraphStatistics::AvgDegree(std::string_view type) const {
-  double n = NodeCount();
-  if (n < 1) n = 1;
-  return RelsWithType(type) / n;
-}
-
 double GraphStatistics::LabelTypeCount(std::string_view label,
                                        std::string_view type,
                                        bool out) const {
@@ -88,35 +82,6 @@ double DistinctEndpoints(const PropertyGraph& g, std::string_view type,
   return std::min(total, static_cast<double>(g.NumNodes()));
 }
 
-double MaxDegreeBound(const PropertyGraph& g, std::string_view type,
-                      bool out) {
-  auto bound_for = [&](const PropertyGraph::TypeDegreeStats& ds) -> double {
-    const auto& hist = out ? ds.out_hist : ds.in_hist;
-    for (size_t b = PropertyGraph::kDegreeBuckets; b-- > 0;) {
-      if (hist[b] > 0) {
-        // Bucket b holds degrees in [2^b, 2^(b+1) - 1].
-        return static_cast<double>((size_t{2} << b) - 1);
-      }
-    }
-    return 0;
-  };
-  if (!type.empty()) {
-    SymbolId t = g.LookupType(type);
-    if (t == kNoSymbol) return 0;
-    const auto* ds = g.DegreeStatsFor(t);
-    return ds == nullptr ? 0 : bound_for(*ds);
-  }
-  // Untyped: one node's total fan is at most the sum of its per-type
-  // maxima.
-  double total = 0;
-  for (const auto& [t, n] : g.TypeCounts()) {
-    if (n == 0) continue;
-    const auto* ds = g.DegreeStatsFor(t);
-    if (ds != nullptr) total += bound_for(*ds);
-  }
-  return total;
-}
-
 }  // namespace
 
 double GraphStatistics::DistinctSources(std::string_view type) const {
@@ -137,14 +102,6 @@ double GraphStatistics::CondInDegree(std::string_view type) const {
   double targets = DistinctTargets(type);
   if (targets < 1) return 0;
   return RelsWithType(type) / targets;
-}
-
-double GraphStatistics::MaxOutDegree(std::string_view type) const {
-  return MaxDegreeBound(g_, type, /*out=*/true);
-}
-
-double GraphStatistics::MaxInDegree(std::string_view type) const {
-  return MaxDegreeBound(g_, type, /*out=*/false);
 }
 
 }  // namespace gqlite

@@ -9,8 +9,8 @@ namespace gqlite {
 
 /// Cardinality statistics over a PropertyGraph, the inputs to the cost
 /// model (§2 "Neo4j implementation": query planning "based on the IDP
-/// algorithm, using a cost model"). Counts, directional degree
-/// distributions and label-conditioned fans are exact and maintained
+/// algorithm, using a cost model"). Counts, distinct endpoints per
+/// relationship type and label-conditioned fans are exact and maintained
 /// incrementally by the graph; property NDV comes from insert-only KMV
 /// sketches (exact below 64 distinct values, estimated above). A
 /// GraphStatistics view over a frozen snapshot answers for exactly that
@@ -28,10 +28,6 @@ class GraphStatistics {
 
   /// Number of relationships of `type`; if empty, all relationships.
   double RelsWithType(std::string_view type) const;
-
-  /// Symmetric average fan — rels(type) / max(1, nodes). Kept for
-  /// callers that don't know a direction; prefer OutDegree/InDegree.
-  double AvgDegree(std::string_view type) const;
 
   // ---- Directional fans ----------------------------------------------------
 
@@ -56,12 +52,6 @@ class GraphStatistics {
   /// use this: the frontier only contains such nodes.
   double CondOutDegree(std::string_view type) const;
   double CondInDegree(std::string_view type) const;
-
-  /// Upper bound on any single node's outgoing / incoming fan for
-  /// `type`, from the highest occupied bucket of the log2 degree
-  /// histogram (2^(b+1) - 1). Empty type sums the per-type bounds.
-  double MaxOutDegree(std::string_view type) const;
-  double MaxInDegree(std::string_view type) const;
 
   // ---- Property NDV --------------------------------------------------------
 

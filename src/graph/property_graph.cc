@@ -43,12 +43,6 @@ double PropertyGraph::KmvSketch::Estimate() const {
          static_cast<double>(mins.back());
 }
 
-size_t PropertyGraph::DegreeBucket(size_t d) {
-  size_t b = 0;
-  while (d >>= 1) ++b;
-  return b < kDegreeBuckets ? b : kDegreeBuckets - 1;
-}
-
 size_t PropertyGraph::TypedDegree(const std::vector<RelId>& adj,
                                   SymbolId type) const {
   size_t d = 0;
@@ -58,19 +52,9 @@ size_t PropertyGraph::TypedDegree(const std::vector<RelId>& adj,
   return d;
 }
 
-void PropertyGraph::ShiftDegree(std::array<size_t, kDegreeBuckets>* hist,
-                                size_t* distinct, size_t before, int delta) {
-  size_t after = delta > 0 ? before + 1 : before - 1;
-  if (before > 0) {
-    --(*hist)[DegreeBucket(before)];
-  } else {
-    ++*distinct;  // 0 -> 1: the node gains its first typed rel
-  }
-  if (after > 0) {
-    ++(*hist)[DegreeBucket(after)];
-  } else {
-    --*distinct;  // 1 -> 0: the node loses its last typed rel
-  }
+void PropertyGraph::ShiftDegree(size_t* distinct, size_t before, int delta) {
+  if (delta > 0 && before == 0) ++*distinct;  // the node's first typed rel
+  if (delta < 0 && before == 1) --*distinct;  // the node's last typed rel
 }
 
 void PropertyGraph::NoteNdv(std::unordered_map<SymbolId, KmvSketch>* ndv,
@@ -269,10 +253,8 @@ Result<RelId> PropertyGraph::CreateRelationship(NodeId src, NodeId tgt,
   // Directional statistics: the endpoints' typed degrees just moved
   // d -> d+1 (adjacency vectors hold only live relationships).
   TypeDegreeStats& ds = type_degree_stats_[t];
-  ShiftDegree(&ds.out_hist, &ds.distinct_sources,
-              TypedDegree(node(src).out, t) - 1, +1);
-  ShiftDegree(&ds.in_hist, &ds.distinct_targets,
-              TypedDegree(node(tgt).in, t) - 1, +1);
+  ShiftDegree(&ds.distinct_sources, TypedDegree(node(src).out, t) - 1, +1);
+  ShiftDegree(&ds.distinct_targets, TypedDegree(node(tgt).in, t) - 1, +1);
   for (SymbolId l : node(src).labels) {
     ++label_type_out_counts_[LabelTypeKey(l, t)];
   }
@@ -283,15 +265,6 @@ Result<RelId> PropertyGraph::CreateRelationship(NodeId src, NodeId tgt,
     observer_->OnCreateRelationship(id, src, tgt, type, props);
   }
   return id;
-}
-
-std::vector<NodeId> PropertyGraph::AllNodes() const {
-  std::vector<NodeId> out;
-  out.reserve(num_nodes_);
-  for (size_t i = 0; i < node_slots_; ++i) {
-    if (!node(NodeId{i}).deleted) out.push_back(NodeId{i});
-  }
-  return out;
 }
 
 // ---- Labels ----------------------------------------------------------------
@@ -487,10 +460,8 @@ Status PropertyGraph::DeleteRelationship(RelId r) {
   --type_counts_[t];
   // Directional statistics: endpoints' typed degrees moved d -> d-1.
   TypeDegreeStats& ds = type_degree_stats_[t];
-  ShiftDegree(&ds.out_hist, &ds.distinct_sources,
-              TypedDegree(node(src).out, t) + 1, -1);
-  ShiftDegree(&ds.in_hist, &ds.distinct_targets,
-              TypedDegree(node(tgt).in, t) + 1, -1);
+  ShiftDegree(&ds.distinct_sources, TypedDegree(node(src).out, t) + 1, -1);
+  ShiftDegree(&ds.distinct_targets, TypedDegree(node(tgt).in, t) + 1, -1);
   for (SymbolId l : node(src).labels) {
     --label_type_out_counts_[LabelTypeKey(l, t)];
   }

@@ -133,9 +133,6 @@ class PropertyGraph {
   size_t NumNodeSlots() const { return node_slots_; }
   size_t NumRelSlots() const { return rel_slots_; }
 
-  /// All live node ids (materialized; prefer slot iteration in hot paths).
-  std::vector<NodeId> AllNodes() const;
-
   // ---- λ: labels ----------------------------------------------------------
 
   /// Label set of a node, as interned ids (sorted ascending).
@@ -248,23 +245,14 @@ class PropertyGraph {
 
   // ---- Directional degree statistics ---------------------------------------
 
-  /// Degree histograms are log2-bucketed: bucket b counts live nodes
-  /// whose typed degree d (>= 1) has floor(log2 d) == b.
-  static constexpr size_t kDegreeBuckets = 32;
-
-  /// Per-relationship-type directional statistics, maintained
+  /// Per-relationship-type directional statistics: the live nodes with
+  /// at least one outgoing/incoming relationship of the type, the
+  /// conditional-fan denominators for multi-level expands. Maintained
   /// incrementally by the relationship mutators (an O(degree) scan of
-  /// the touched endpoint's adjacency per create/delete):
-  ///  * distinct_sources/targets — live nodes with at least one
-  ///    outgoing/incoming relationship of the type (conditional-fan
-  ///    denominators for multi-level expands);
-  ///  * out_hist/in_hist — log2-bucketed fan histograms (heavy-tail
-  ///    bounds for var-length estimates).
+  /// the touched endpoint's adjacency per create/delete).
   struct TypeDegreeStats {
     size_t distinct_sources = 0;
     size_t distinct_targets = 0;
-    std::array<size_t, kDegreeBuckets> out_hist{};
-    std::array<size_t, kDegreeBuckets> in_hist{};
   };
 
   /// Directional stats for `type`; nullptr if no relationship of that
@@ -408,15 +396,12 @@ class PropertyGraph {
   static uint64_t LabelTypeKey(SymbolId label, SymbolId type) {
     return (static_cast<uint64_t>(label) << 32) | type;
   }
-  /// floor(log2 d) clamped to the histogram width; d >= 1.
-  static size_t DegreeBucket(size_t d);
   /// Count of relationships of `type` in the adjacency vector.
   size_t TypedDegree(const std::vector<RelId>& adj, SymbolId type) const;
-  /// Re-buckets one node whose typed degree changed from `before` to
-  /// `before + delta` (delta is +1 or -1), keeping the distinct-endpoint
-  /// count in sync (a node enters at degree 1, leaves at degree 0).
-  static void ShiftDegree(std::array<size_t, kDegreeBuckets>* hist,
-                          size_t* distinct, size_t before, int delta);
+  /// Keeps the distinct-endpoint count in sync for one node whose typed
+  /// degree changed from `before` to `before + delta` (delta is +1 or
+  /// -1): a node enters at degree 1 and leaves at degree 0.
+  static void ShiftDegree(size_t* distinct, size_t before, int delta);
   static void NoteNdv(std::unordered_map<SymbolId, KmvSketch>* ndv,
                       SymbolId key, const Value& v);
 

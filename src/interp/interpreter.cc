@@ -68,7 +68,7 @@ Result<Table> Interpreter::ExecuteClause(const Clause& c, Table input) {
       // [[WITH ret WHERE expr]] = [[WHERE expr]]([[WITH ret]](T)).
       Table filtered(projected.fields());
       for (const auto& row : projected.rows()) {
-        RowEnvironment env(projected, row);
+        SchemaRowEnvironment env(projected.fields(), row);
         GQL_ASSIGN_OR_RETURN(Tri keep, EvaluatePredicate(*w.where, env, ctx));
         if (keep == Tri::kTrue) filtered.AddRow(row);
       }
@@ -110,7 +110,7 @@ Result<Table> Interpreter::ExecMatch(const MatchClause& m,
   std::vector<std::string> new_cols;
   {
     ValueList empty_row(input.NumFields(), Value::Null());
-    RowEnvironment env(input, empty_row);
+    SchemaRowEnvironment env(input.fields(), empty_row);
     new_cols = NewPatternColumns(m.pattern, env);
   }
   std::vector<std::string> out_fields = input.fields();
@@ -118,7 +118,7 @@ Result<Table> Interpreter::ExecMatch(const MatchClause& m,
   Table output(out_fields);
 
   for (const auto& row : input.rows()) {
-    RowEnvironment env(input, row);
+    SchemaRowEnvironment env(input.fields(), row);
     size_t before = output.NumRows();
     Status st = MatchPattern(
         m.pattern, *graph_, env, ctx, options_.match, new_cols,
@@ -126,7 +126,7 @@ Result<Table> Interpreter::ExecMatch(const MatchClause& m,
           ValueList out_row = row;
           for (const Value& v : bindings) out_row.push_back(v);
           if (m.where) {
-            RowEnvironment where_env(output, out_row);
+            SchemaRowEnvironment where_env(output.fields(), out_row);
             GQL_ASSIGN_OR_RETURN(Tri keep,
                                  EvaluatePredicate(*m.where, where_env, ctx));
             if (keep != Tri::kTrue) return true;
@@ -155,7 +155,7 @@ Result<Table> Interpreter::ExecUnwind(const UnwindClause& u,
   out_fields.push_back(u.var);
   Table output(out_fields);
   for (const auto& row : input.rows()) {
-    RowEnvironment env(input, row);
+    SchemaRowEnvironment env(input.fields(), row);
     GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*u.expr, env, ctx));
     // Figure 7's rule: a list unwinds element-wise (empty list → no rows);
     // any non-list value (including null — a deliberate fidelity choice,
@@ -220,7 +220,7 @@ Result<Table> Interpreter::ExecReturnGraph(const ReturnGraphClause& r,
   };
 
   for (const auto& row : input.rows()) {
-    RowEnvironment env(input, row);
+    SchemaRowEnvironment env(input.fields(), row);
     for (const auto& path : r.pattern.paths) {
       Value start = Value::Null();
       if (path.start.var) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -77,6 +76,29 @@ Result<int64_t> EvalCount(const Expr& e, const EvalContext& ctx,
                                    " must be a non-negative integer");
   }
   return v.AsInt();
+}
+
+/// Index among the first `width` names of `schema` of the column that
+/// `key` textually matches (alias resolution), or -1.
+int OutputColumn(const std::vector<std::string>& schema, size_t width,
+                 const Expr& key) {
+  const std::string name = DerivedColumnName(key);
+  for (size_t i = 0; i < width && i < schema.size(); ++i) {
+    if (schema[i] == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+/// The names OrderKeysForRow resolves against: `output`'s fields, then
+/// `input`'s (when given). Built once per table, not once per row.
+std::vector<std::string> OrderKeySchema(const Table& output,
+                                        const Table* input) {
+  std::vector<std::string> schema = output.fields();
+  if (input != nullptr) {
+    schema.insert(schema.end(), input->fields().begin(),
+                  input->fields().end());
+  }
+  return schema;
 }
 
 }  // namespace
@@ -187,10 +209,6 @@ AggregationState::AggregationState(AggregationState&&) noexcept = default;
 AggregationState& AggregationState::operator=(AggregationState&&) noexcept =
     default;
 AggregationState::~AggregationState() = default;
-
-const std::vector<std::string>& AggregationState::out_fields() const {
-  return impl_->shape->out_fields;
-}
 
 Result<AggregationState> AggregationState::Plan(
     const ProjectionBody& body, const std::vector<std::string>& input_fields) {
@@ -331,8 +349,6 @@ Result<Table> AggregationState::Finish(const EvalContext& ctx) {
   }
 
   Table output(im.shape->out_fields);
-  Table rep_fields(im.shape->input_fields);  // representative env fields
-  const Table no_fields((std::vector<std::string>()));
   for (Impl::Group& g : im.groups) {
     ValueList agg_values;
     for (auto& agg : g.aggs) {
@@ -340,11 +356,8 @@ Result<Table> AggregationState::Finish(const EvalContext& ctx) {
       agg_values.push_back(std::move(v));
     }
     // The neutral group of an empty keyless input has no representative;
-    // its environment must resolve nothing (not index into an empty row).
-    bool has_rep =
-        g.representative.size() == im.shape->input_fields.size();
-    RowEnvironment rep_env(has_rep ? rep_fields : no_fields,
-                           g.representative);
+    // its empty row resolves nothing.
+    SchemaRowEnvironment rep_env(im.shape->input_fields, g.representative);
     ValueList out_row;
     size_t key_idx = 0;
     size_t slot_base = 0;
@@ -373,19 +386,12 @@ Result<Table> AggregationState::Finish(const EvalContext& ctx) {
 // ---- Post-projection tail ---------------------------------------------------
 
 Result<ValueList> OrderKeysForRow(const ProjectionBody& body,
-                                  const Table& output, const ValueList& row,
-                                  const ValueList* source, const Table* input,
+                                  const std::vector<std::string>& schema,
+                                  const ValueList& row, const ValueList* source,
                                   const EvalContext& ctx,
                                   const CompiledProjection* compiled) {
-  RowEnvironment out_env(output, row);
-  std::optional<RowEnvironment> in_env;
-  std::optional<MergedRowEnvironment> merged;
-  const Environment* env = &out_env;
-  if (source != nullptr && input != nullptr) {
-    in_env.emplace(*input, *source);
-    merged.emplace(out_env, *in_env);
-    env = &*merged;
-  }
+  // The output row's columns come first, so they shadow the input's.
+  SchemaRowEnvironment env(schema, row, row.size(), source);
   ValueList keys;
   keys.reserve(body.order_by.size());
   for (size_t k = 0; k < body.order_by.size(); ++k) {
@@ -394,7 +400,7 @@ Result<ValueList> OrderKeysForRow(const ProjectionBody& body,
     // (e.g. ORDER BY p.acmid after RETURN p.acmid, count(*)) refers to
     // that column, like Cypher's alias resolution.
     int col = compiled != nullptr ? compiled->order_cols[k]
-                                  : output.FieldIndex(DerivedColumnName(key));
+                                  : OutputColumn(schema, row.size(), key);
     if (col >= 0) {
       keys.push_back(row[col]);
     } else if (compiled != nullptr) {
@@ -402,7 +408,7 @@ Result<ValueList> OrderKeysForRow(const ProjectionBody& body,
                            compiled->order_keys[k].Evaluate(row, source));
       keys.push_back(*v);
     } else {
-      GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(key, *env, ctx));
+      GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(key, env, ctx));
       keys.push_back(std::move(v));
     }
   }
@@ -449,6 +455,7 @@ Result<Table> ApplyProjectionTail(
     };
     std::vector<Keyed> keyed;
     keyed.reserve(output.NumRows());
+    const std::vector<std::string> schema = OrderKeySchema(output, input);
     for (size_t i = 0; i < output.NumRows(); ++i) {
       ValueList& row = output.mutable_rows()[i];
       const ValueList* source =
@@ -456,8 +463,8 @@ Result<Table> ApplyProjectionTail(
               ? (*source_rows)[i]
               : nullptr;
       GQL_ASSIGN_OR_RETURN(
-          ValueList keys, OrderKeysForRow(body, output, row, source, input,
-                                          ctx, compiled));
+          ValueList keys,
+          OrderKeysForRow(body, schema, row, source, ctx, compiled));
       // Keys are computed; the row itself can move out of the table.
       keyed.push_back(Keyed{std::move(row), std::move(keys)});
     }
@@ -505,9 +512,12 @@ Result<Table> ProjectRows(const ProjectionBody& body, const Table& input,
                                     : DerivedColumnName(*item.expr));
   }
   Table output(out_fields);
+  const std::vector<std::string> key_schema =
+      keys != nullptr ? OrderKeySchema(output, &input)
+                      : std::vector<std::string>();
 
   for (const auto& row : input.rows()) {
-    RowEnvironment env(input, row);
+    SchemaRowEnvironment env(input.fields(), row);
     ValueList out_row;
     out_row.reserve(out_fields.size());
     for (int c : star_cols) out_row.push_back(row[c]);
@@ -526,8 +536,8 @@ Result<Table> ProjectRows(const ProjectionBody& body, const Table& input,
       // merged output-shadows-input environment, before the source row
       // goes out of reach of the merge stage.
       GQL_ASSIGN_OR_RETURN(
-          ValueList k, OrderKeysForRow(body, output, out_row, &row, &input,
-                                       ctx, compiled));
+          ValueList k,
+          OrderKeysForRow(body, key_schema, out_row, &row, ctx, compiled));
       keys->push_back(std::move(k));
     }
     output.AddRow(std::move(out_row));

@@ -119,9 +119,6 @@ class AggregationState {
   /// order). Terminal: the accumulators are consumed.
   Result<Table> Finish(const EvalContext& ctx);
 
-  /// Output column names (one per projection item).
-  const std::vector<std::string>& out_fields() const;
-
  private:
   AggregationState();
   struct Impl;
@@ -154,14 +151,15 @@ Result<Table> ProjectRows(const ast::ProjectionBody& body, const Table& input,
 
 /// The ORDER BY key row of one projected row. A key expression that
 /// textually matches a projected column resolves to that column (alias
-/// resolution); others evaluate against the output row, with `source` /
-/// `input` (both optional) supplying the pre-projection variables (output
-/// shadows input). Pass source == nullptr for aggregated or
-/// post-DISTINCT rows, which have no source pairing. With `compiled`, the
-/// column match was resolved once, at compile time.
+/// resolution); others evaluate against the output row, with `source`
+/// (optional) supplying the pre-projection variables. `schema` names the
+/// output row's columns, then the source row's (output shadows input).
+/// Pass source == nullptr for aggregated or post-DISTINCT rows, which
+/// have no source pairing. With `compiled`, the column match was
+/// resolved once, at compile time.
 Result<ValueList> OrderKeysForRow(const ast::ProjectionBody& body,
-                                  const Table& output, const ValueList& row,
-                                  const ValueList* source, const Table* input,
+                                  const std::vector<std::string>& schema,
+                                  const ValueList& row, const ValueList* source,
                                   const EvalContext& ctx,
                                   const CompiledProjection* compiled =
                                       nullptr);

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/eval/evaluator.h"
 #include "src/value/value.h"
 
 namespace gqlite {
@@ -65,39 +64,6 @@ class Table {
  private:
   std::vector<std::string> fields_;
   std::vector<ValueList> rows_;
-};
-
-/// Environment over one row of a table.
-class RowEnvironment : public Environment {
- public:
-  RowEnvironment(const Table& table, const ValueList& row)
-      : table_(table), row_(row) {}
-  const Value* Lookup(const std::string& name) const override {
-    int i = table_.FieldIndex(name);
-    if (i < 0) return nullptr;
-    return &row_[i];
-  }
-
- private:
-  const Table& table_;
-  const ValueList& row_;
-};
-
-/// Output row environment layered over an input row environment (ORDER BY
-/// in non-aggregating projections sees both; output shadows input).
-class MergedRowEnvironment : public Environment {
- public:
-  MergedRowEnvironment(const Environment& output, const Environment& input)
-      : output_(output), input_(input) {}
-  const Value* Lookup(const std::string& name) const override {
-    const Value* v = output_.Lookup(name);
-    if (v != nullptr) return v;
-    return input_.Lookup(name);
-  }
-
- private:
-  const Environment& output_;
-  const Environment& input_;
 };
 
 }  // namespace gqlite

@@ -89,16 +89,75 @@ std::vector<std::string> ExprVariables(const Expr& e) {
   return out;
 }
 
-std::vector<const Expr*> SplitConjuncts(const Expr& e) {
+namespace {
+
+/// True if `e` can only evaluate to a boolean or null (or raise its own
+/// error): a conjunct of this form behaves the same as a filter of its
+/// own and as an AND operand.
+bool IsPredicateForm(const Expr& e) {
+  switch (e.kind) {
+    case Expr::Kind::kLiteral:
+      return static_cast<const LiteralExpr&>(e).value.is_bool();
+    case Expr::Kind::kLabelCheck:
+    case Expr::Kind::kPatternPredicate:
+      return true;
+    case Expr::Kind::kFunctionCall:
+      return static_cast<const FunctionCallExpr&>(e).name == "exists";
+    case Expr::Kind::kUnary: {
+      const auto& u = static_cast<const UnaryExpr&>(e);
+      if (u.op == UnaryOp::kIsNull || u.op == UnaryOp::kIsNotNull) {
+        return true;
+      }
+      return u.op == UnaryOp::kNot && IsPredicateForm(*u.operand);
+    }
+    case Expr::Kind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(e);
+      switch (b.op) {
+        case BinaryOp::kAnd:
+        case BinaryOp::kOr:
+        case BinaryOp::kXor:
+          return IsPredicateForm(*b.lhs) && IsPredicateForm(*b.rhs);
+        case BinaryOp::kEq:
+        case BinaryOp::kNeq:
+        case BinaryOp::kLt:
+        case BinaryOp::kLe:
+        case BinaryOp::kGt:
+        case BinaryOp::kGe:
+        case BinaryOp::kIn:
+        case BinaryOp::kStartsWith:
+        case BinaryOp::kEndsWith:
+        case BinaryOp::kContains:
+          return true;
+        default:
+          return false;
+      }
+    }
+    default:
+      return false;
+  }
+}
+
+void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out) {
   if (e.kind == Expr::Kind::kBinary) {
     const auto& b = static_cast<const BinaryExpr&>(e);
     if (b.op == BinaryOp::kAnd) {
-      std::vector<const Expr*> out = SplitConjuncts(*b.lhs);
-      for (const Expr* c : SplitConjuncts(*b.rhs)) out.push_back(c);
-      return out;
+      CollectConjuncts(*b.lhs, out);
+      CollectConjuncts(*b.rhs, out);
+      return;
     }
   }
-  return {&e};
+  out->push_back(&e);
+}
+
+}  // namespace
+
+std::vector<const Expr*> SplitConjuncts(const Expr& e) {
+  std::vector<const Expr*> out;
+  CollectConjuncts(e, &out);
+  for (const Expr* c : out) {
+    if (!IsPredicateForm(*c)) return {&e};
+  }
+  return out;
 }
 
 }  // namespace gqlite

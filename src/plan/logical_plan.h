@@ -38,7 +38,16 @@ bool PipelinePlannable(const ast::Pattern& pattern);
 /// or reduce variables). Used for filter placement.
 std::vector<std::string> ExprVariables(const ast::Expr& e);
 
-/// Splits a predicate into its top-level AND conjuncts.
+/// Splits a predicate into its top-level AND conjuncts, so the planner
+/// can place each one as soon as its variables are bound. It splits only
+/// when every conjunct is a predicate form (a comparison; AND/OR/XOR/NOT
+/// over predicate forms; IS [NOT] NULL; a label check; a boolean
+/// literal; IN, STARTS WITH, ENDS WITH, CONTAINS; exists(...) or a
+/// pattern predicate). Otherwise it returns the whole predicate, so a
+/// non-boolean operand raises AND's own type error, as the interpreter
+/// does, instead of the filter's. One difference remains: a conjunct
+/// placed later never sees a row that an earlier-placed conjunct already
+/// dropped, so an error that conjunct would raise on that row is masked.
 std::vector<const ast::Expr*> SplitConjuncts(const ast::Expr& e);
 
 }  // namespace gqlite

@@ -77,12 +77,6 @@ void PlanCache::Release(const EntryPtr& entry) {
   entry->in_use = false;
 }
 
-void PlanCache::Clear() {
-  MutexLock lock(&mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 void PlanCache::EvictToCapacity() {
   while (index_.size() > capacity_) {
     index_.erase(lru_.back()->key);

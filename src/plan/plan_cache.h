@@ -123,9 +123,6 @@ class PlanCache {
   /// Un-pins an entry returned by Acquire/InsertAcquire.
   void Release(const EntryPtr& entry) EXCLUDES(mu_);
 
-  /// Drops all entries (stats are kept; use ResetStats to clear them).
-  void Clear() EXCLUDES(mu_);
-
   size_t capacity() const { return capacity_; }
   size_t size() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -135,10 +132,6 @@ class PlanCache {
   PlanCacheStats stats() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return stats_;
-  }
-  void ResetStats() EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    stats_ = PlanCacheStats();
   }
 
  private:

@@ -13,7 +13,7 @@ namespace gqlite {
 namespace {
 
 constexpr std::string_view kCkptMagic = "GQLCKP1\n";
-constexpr uint32_t kCkptVersion = 1;
+constexpr uint32_t kCkptVersion = 2;
 
 /// Sorted keys of an unordered_map, so sections serialize
 /// deterministically (same graph state => byte-identical checkpoint).
@@ -156,8 +156,6 @@ void StorageInternals::EncodeGraph(const PropertyGraph& g, uint64_t last_lsn,
       w.PutU32(s);
       w.PutU64(ds.distinct_sources);
       w.PutU64(ds.distinct_targets);
-      for (size_t b : ds.out_hist) w.PutU64(b);
-      for (size_t b : ds.in_hist) w.PutU64(b);
     }
   }
   auto encode_ndv =
@@ -295,14 +293,6 @@ Result<RecoveredGraph> StorageInternals::DecodeGraph(std::string_view body) {
       GQL_ASSIGN_OR_RETURN(uint64_t tgts, r.U64());
       ds.distinct_sources = srcs;
       ds.distinct_targets = tgts;
-      for (size_t& b : ds.out_hist) {
-        GQL_ASSIGN_OR_RETURN(uint64_t v, r.U64());
-        b = v;
-      }
-      for (size_t& b : ds.in_hist) {
-        GQL_ASSIGN_OR_RETURN(uint64_t v, r.U64());
-        b = v;
-      }
     }
   }
   auto decode_ndv =

@@ -24,7 +24,7 @@ struct RecoveredGraph {
 /// declaration in property_graph.h). Checkpoints are a verbatim dump of
 /// the private state — record pages including tombstones and property
 /// order, all three interners in id order, label-index postings, and
-/// every statistic (degree histograms, label/type counts, KMV NDV
+/// every statistic (distinct endpoints, label/type counts, KMV NDV
 /// sketches — the sketches are insert-only and NOT derivable from live
 /// records, so reloading them verbatim is what keeps cached-plan
 /// estimates identical across a restart).

@@ -36,11 +36,6 @@ Status SyncDir(const std::string& dir) {
 
 }  // namespace
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 Status EnsureDirectory(const std::string& path) {
   if (path.empty()) return Status::InvalidArgument("empty directory path");
   // Walk the components, creating each missing prefix.
@@ -114,14 +109,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view data) {
   return SyncDir(ParentDir(path));
 }
 
-Status RemoveFileDurably(const std::string& path) {
-  if (::unlink(path.c_str()) != 0) {
-    if (errno == ENOENT) return Status::OK();
-    return ErrnoStatus("unlink", path);
-  }
-  return SyncDir(ParentDir(path));
-}
-
 Result<std::unique_ptr<AppendFile>> AppendFile::Open(const std::string& path) {
   int fd =
       ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
@@ -157,14 +144,6 @@ Status AppendFile::TruncateTo(uint64_t new_size) {
   }
   size_ = new_size;
   return Sync();
-}
-
-Status AppendFile::Close() {
-  if (fd_ < 0) return Status::OK();
-  int rc = ::close(fd_);
-  fd_ = -1;
-  if (rc != 0) return ErrnoStatus("close", path_);
-  return Status::OK();
 }
 
 }  // namespace gqlite

@@ -16,9 +16,6 @@ namespace gqlite {
 /// Status — the storage layer treats any IO error as "the commit is not
 /// durable" and surfaces it to the caller instead of pretending.
 
-/// True iff `path` names an existing file or directory.
-bool FileExists(const std::string& path);
-
 /// Creates `path` (and missing parents) as a directory; ok if it
 /// already exists as one.
 Status EnsureDirectory(const std::string& path);
@@ -31,10 +28,6 @@ Result<std::string> ReadFileToString(const std::string& path);
 /// itself is durable. After a crash the file holds either the old or
 /// the new contents, never a mix.
 Status AtomicWriteFile(const std::string& path, std::string_view data);
-
-/// Durably removes `path` if present (unlink + parent-directory fsync);
-/// ok when the file does not exist.
-Status RemoveFileDurably(const std::string& path);
 
 /// An append-only file handle with an explicitly tracked end offset —
 /// the WAL's backing file. Opening an existing file resumes at its
@@ -58,7 +51,6 @@ class AppendFile {
   Status Sync();
   /// Shrinks the file to `new_size` bytes and syncs the truncation.
   Status TruncateTo(uint64_t new_size);
-  Status Close();
 
  private:
   AppendFile(int fd, uint64_t size, std::string path)

@@ -27,8 +27,6 @@ std::vector<WalOp> WalRecorder::TakePending() {
   return out;
 }
 
-void WalRecorder::DiscardPending() { pending_.clear(); }
-
 void WalRecorder::SyncInterners() {
   auto sync = [this](const StringInterner& interner, size_t* seen,
                      WalOpType type) {

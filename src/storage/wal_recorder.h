@@ -42,11 +42,6 @@ class WalRecorder : public GraphWriteObserver {
   /// it. The caller owns making it durable.
   std::vector<WalOp> TakePending();
 
-  /// Drops accumulated ops without advancing watermarks beyond the
-  /// graph's current state (rollback of an explicit transaction —
-  /// callers must Rebind to the restored graph right after).
-  void DiscardPending();
-
   // GraphWriteObserver:
   void OnCreateNode(NodeId id, const std::vector<std::string>& labels,
                     const PropertyList& props) override;

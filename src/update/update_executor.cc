@@ -241,7 +241,7 @@ Status UpdateExecutor::DeleteValue(const Value& v, bool detach) {
 Result<Table> UpdateExecutor::ExecDelete(const DeleteClause& c, Table input) {
   EvalContext ctx = MakeEvalContext();
   for (const auto& row : input.rows()) {
-    RowEnvironment env(input, row);
+    SchemaRowEnvironment env(input.fields(), row);
     for (const auto& e : c.exprs) {
       GQL_ASSIGN_OR_RETURN(Value v, EvaluateExpr(*e, env, ctx));
       GQL_RETURN_IF_ERROR(DeleteValue(v, c.detach));
@@ -254,7 +254,7 @@ Status UpdateExecutor::ApplySetItems(const std::vector<SetItem>& items,
                                      const Table& table,
                                      const ValueList& row) {
   EvalContext ctx = MakeEvalContext();
-  RowEnvironment env(table, row);
+  SchemaRowEnvironment env(table.fields(), row);
   for (const auto& item : items) {
     switch (item.kind) {
       case SetItem::Kind::kProperty: {
@@ -351,7 +351,7 @@ Result<Table> UpdateExecutor::ExecRemove(const RemoveClause& c, Table input) {
   EvalContext ctx = MakeEvalContext();
   (void)ctx;
   for (const auto& row : input.rows()) {
-    RowEnvironment env(input, row);
+    SchemaRowEnvironment env(input.fields(), row);
     for (const auto& item : c.items) {
       const Value* obj = env.Lookup(item.var);
       if (obj == nullptr || obj->is_null()) continue;
@@ -389,7 +389,7 @@ Result<Table> UpdateExecutor::ExecMerge(const MergeClause& c, Table input) {
   std::vector<std::string> new_cols;
   {
     ValueList empty_row(input.NumFields(), Value::Null());
-    RowEnvironment env(input, empty_row);
+    SchemaRowEnvironment env(input.fields(), empty_row);
     new_cols = NewPatternColumns(as_tuple, env);
   }
   std::vector<std::string> fields = input.fields();
@@ -397,7 +397,7 @@ Result<Table> UpdateExecutor::ExecMerge(const MergeClause& c, Table input) {
   Table output(fields);
 
   for (const auto& row : input.rows()) {
-    RowEnvironment env(input, row);
+    SchemaRowEnvironment env(input.fields(), row);
     size_t before = output.NumRows();
     Status st = MatchPattern(as_tuple, *graph_, env, ctx, match_opts_,
                              new_cols,

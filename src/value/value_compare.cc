@@ -28,12 +28,6 @@ Tri TriNot(Tri a) {
   return a == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
 }
 
-Tri TriFromValue(const Value& v) {
-  if (v.is_null()) return Tri::kNull;
-  if (v.is_bool()) return TriFromBool(v.AsBool());
-  return Tri::kNull;
-}
-
 namespace {
 
 /// Exact three-way comparison of an int64 against a non-NaN double.

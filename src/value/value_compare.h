@@ -19,11 +19,6 @@ Tri TriOr(Tri a, Tri b);
 Tri TriXor(Tri a, Tri b);
 Tri TriNot(Tri a);
 
-/// Converts a Value to Tri for use in WHERE: true→kTrue, false→kFalse,
-/// null→kNull. Any other type is a type error signalled by the caller; this
-/// helper returns kNull for non-bool non-null values so callers can decide.
-Tri TriFromValue(const Value& v);
-
 /// Cypher *equality* (the `=` operator): 3VL.
 ///  * null = anything  → null
 ///  * numbers compare numerically across int/float; NaN ≠ everything

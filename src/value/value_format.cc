@@ -5,6 +5,20 @@
 
 namespace gqlite {
 
+namespace {
+
+/// `open` id `close`, appended in order: GCC 12's -Wrestrict misfires on
+/// `"literal" + std::to_string(id)` in Release builds.
+std::string Bracketed(std::string_view open, uint64_t id,
+                      std::string_view close) {
+  std::string out(open);
+  out += std::to_string(id);
+  out += close;
+  return out;
+}
+
+}  // namespace
+
 std::string FormatFloat(double d) {
   if (std::isnan(d)) return "NaN";
   if (std::isinf(d)) return d > 0 ? "Infinity" : "-Infinity";
@@ -59,12 +73,12 @@ std::string FormatValue(const Value& v) {
       return out + "}";
     }
     case ValueType::kNode:
-      return "(" + std::to_string(v.AsNode().id) + ")";
+      return Bracketed("(", v.AsNode().id, ")");
     case ValueType::kRelationship:
-      return "[:" + std::to_string(v.AsRelationship().id) + "]";
+      return Bracketed("[:", v.AsRelationship().id, "]");
     case ValueType::kPath: {
       const Path& p = v.AsPath();
-      std::string out = "<(" + std::to_string(p.nodes[0].id) + ")";
+      std::string out = Bracketed("<(", p.nodes[0].id, ")");
       for (size_t i = 0; i < p.rels.size(); ++i) {
         out += "-[:" + std::to_string(p.rels[i].id) + "]-(" +
                std::to_string(p.nodes[i + 1].id) + ")";

@@ -79,7 +79,11 @@ GraphPtr MakeDifferentialGraph(uint64_t seed) {
     if (rng.Chance(60)) {
       props.emplace_back("w", Value::Int(static_cast<int64_t>(rng.Below(5))));
     }
-    props.emplace_back("name", Value::String("n" + std::to_string(i)));
+    // Appended in order: GCC 12's -Wrestrict misfires on
+    // `"n" + std::to_string(i)` in Release builds.
+    std::string name = "n";
+    name += std::to_string(i);
+    props.emplace_back("name", Value::String(std::move(name)));
     if (rng.Chance(80)) {
       // Long enough to always take the shared (heap) string path.
       std::string blurb = "blurb-" + std::to_string(i) + "-";

@@ -12,9 +12,9 @@
 #include <utility>
 #include <vector>
 
+#include "fixtures/generators.h"
+#include "fixtures/paper_graphs.h"
 #include "src/core/database.h"
-#include "src/workload/generators.h"
-#include "src/workload/paper_graphs.h"
 #include "tests/test_db_util.h"
 
 namespace gqlite {
@@ -485,6 +485,12 @@ TEST(CompiledExprs, ErrorsMatchTheInterpreter) {
       "MATCH (n:X) RETURN n.v / 0 AS k, count(*)",
       "MATCH (n:X) WHERE n.v = $missing RETURN n",
       "UNWIND [1] AS x RETURN x / 0",
+      // A WHERE with a non-predicate conjunct stays one filter, so AND
+      // raises its own type error, even when the other conjunct is
+      // false for the row.
+      "MATCH (n:X) WHERE n.name AND true RETURN n",
+      "MATCH (n:X) WHERE n.name AND n.v = 1 RETURN n",
+      "MATCH (n:X) WHERE n.v = 2 AND n.name RETURN n",
   };
   for (const char* q : queries) {
     auto expected = both.dbs[0].Execute(q);

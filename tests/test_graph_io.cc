@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures/generators.h"
+#include "fixtures/paper_graphs.h"
 #include "src/core/database.h"
 #include "src/graph/graph_io.h"
-#include "src/workload/generators.h"
-#include "src/workload/paper_graphs.h"
 #include "tests/test_db_util.h"
 
 namespace gqlite {

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures/paper_graphs.h"
 #include "src/frontend/parser.h"
 #include "src/interp/interpreter.h"
-#include "src/workload/paper_graphs.h"
 
 namespace gqlite {
 namespace {

@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures/generators.h"
+#include "fixtures/paper_graphs.h"
 #include "src/frontend/parser.h"
 #include "src/pattern/matcher.h"
-#include "src/workload/generators.h"
-#include "src/workload/paper_graphs.h"
 
 namespace gqlite {
 namespace {

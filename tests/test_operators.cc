@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures/generators.h"
 #include "src/core/database.h"
 #include "src/frontend/parser.h"
 #include "src/plan/operators.h"
-#include "src/workload/generators.h"
 #include "tests/test_db_util.h"
 
 namespace gqlite {

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/workload/generators.h"
-#include "src/workload/paper_graphs.h"
+#include "fixtures/generators.h"
+#include "fixtures/paper_graphs.h"
 #include "tests/test_interp_util.h"
 
 namespace gqlite {

@@ -11,13 +11,13 @@
 #include <set>
 #include <thread>
 
+#include "fixtures/generators.h"
 #include "src/common/sync.h"
 #include "src/exec/parallel.h"
 #include "src/exec/worker_pool.h"
 #include "src/frontend/parser.h"
 #include "src/interp/projection.h"
 #include "src/plan/runtime.h"
-#include "src/workload/generators.h"
 #include "tests/test_db_util.h"
 
 namespace gqlite {

@@ -8,10 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures/generators.h"
 #include "src/frontend/analyzer.h"
 #include "src/frontend/parser.h"
 #include "src/plan/runtime.h"
-#include "src/workload/generators.h"
 #include "tests/test_interp_util.h"
 
 namespace gqlite {

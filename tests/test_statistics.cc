@@ -36,7 +36,6 @@ TEST(GraphStatistics, EmptyGraphIsAllZeros) {
   EXPECT_EQ(stats.OutDegree("KNOWS"), 0.0);
   EXPECT_EQ(stats.InDegree("KNOWS", "Person"), 0.0);
   EXPECT_EQ(stats.CondOutDegree("KNOWS"), 0.0);
-  EXPECT_EQ(stats.MaxOutDegree("KNOWS"), 0.0);
   EXPECT_EQ(stats.NodePropertyNdv("age"), 0.0);
 
   // The cost model must not divide by zero on an empty graph either.
@@ -58,7 +57,6 @@ TEST(GraphStatistics, UnknownLabelAndTypeAreZero) {
   EXPECT_EQ(stats.OutDegree("NOPE"), 0.0);
   EXPECT_EQ(stats.OutDegree("R", "Nope"), 0.0);
   EXPECT_EQ(stats.InDegree("NOPE", "B"), 0.0);
-  EXPECT_EQ(stats.MaxInDegree("NOPE"), 0.0);
 }
 
 TEST(GraphStatistics, DirectionalAsymmetryOnHubStar) {
@@ -83,13 +81,9 @@ TEST(GraphStatistics, DirectionalAsymmetryOnHubStar) {
   EXPECT_DOUBLE_EQ(stats.DistinctTargets("R"), 20.0);
   EXPECT_DOUBLE_EQ(stats.CondOutDegree("R"), 20.0);
   EXPECT_DOUBLE_EQ(stats.CondInDegree("R"), 1.0);
-  // Histogram upper bound: 20 lands in bucket 4 -> bound 2^5 - 1 = 31.
-  EXPECT_GE(stats.MaxOutDegree("R"), 20.0);
-  EXPECT_LE(stats.MaxOutDegree("R"), 31.0);
-  EXPECT_LE(stats.MaxInDegree("R"), 1.0);
 }
 
-TEST(GraphStatistics, DegreeHistogramDeleteRoundTrip) {
+TEST(GraphStatistics, DistinctEndpointsDeleteRoundTrip) {
   PropertyGraph g;
   NodeId a = g.CreateNode();
   NodeId b = g.CreateNode();
@@ -104,16 +98,11 @@ TEST(GraphStatistics, DegreeHistogramDeleteRoundTrip) {
   ASSERT_NE(ds, nullptr);
   EXPECT_EQ(ds->distinct_sources, 1u);
   EXPECT_EQ(ds->distinct_targets, 1u);
-  // Degree 5 -> log2 bucket 2.
-  EXPECT_EQ(ds->out_hist[2], 1u);
-  EXPECT_EQ(ds->in_hist[2], 1u);
 
-  // Delete down to one rel: the node moves to bucket 0.
+  // Delete down to one rel: the node is still a source.
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(g.DeleteRelationship(rels[i]).ok());
   ds = g.DegreeStatsFor(type);
   ASSERT_NE(ds, nullptr);
-  EXPECT_EQ(ds->out_hist[2], 0u);
-  EXPECT_EQ(ds->out_hist[0], 1u);
   EXPECT_EQ(ds->distinct_sources, 1u);
 
   // Delete the last one: everything drains back to zero.
@@ -122,10 +111,6 @@ TEST(GraphStatistics, DegreeHistogramDeleteRoundTrip) {
   ASSERT_NE(ds, nullptr);
   EXPECT_EQ(ds->distinct_sources, 0u);
   EXPECT_EQ(ds->distinct_targets, 0u);
-  for (size_t i = 0; i < PropertyGraph::kDegreeBuckets; ++i) {
-    EXPECT_EQ(ds->out_hist[i], 0u) << "bucket " << i;
-    EXPECT_EQ(ds->in_hist[i], 0u) << "bucket " << i;
-  }
   GraphStatistics stats(g);
   EXPECT_EQ(stats.OutDegree("R"), 0.0);
 }

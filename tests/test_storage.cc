@@ -448,6 +448,37 @@ TEST(Durability, CheckpointTruncatesWalAndReopens) {
   EXPECT_EQ(CountNodes(db), 11);
 }
 
+TEST(Durability, CheckpointOfThePreviousVersionIsRefused) {
+  // Version 1 checkpoints carried per-type degree histograms that
+  // version 2 dropped; no reader for the old layout exists, so a
+  // database checkpointed by version 1 must fail to open, not misread.
+  std::string dir = FreshDir("db_ckpt_v1");
+  {
+    Database db = MustOpen(dir);
+    ASSERT_TRUE(db.Execute("CREATE (:A)-[:R]->(:B)").ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  std::string path = dir + "/checkpoint.gql";
+  {
+    // The u32 version follows the 8-byte magic, little-endian. The CRC
+    // covers only the body, so this is a well-formed version-1 header.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(8);
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, 4);
+  }
+  auto loaded = ReadCheckpointFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << loaded.status().ToString();
+  auto reopened = Database::Open(dir);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+}
+
 TEST(Durability, PlanEstimatesSurviveCheckpointAndReopen) {
   std::string dir = FreshDir("db_estimates");
   const std::string query =
