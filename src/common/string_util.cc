@@ -31,27 +31,6 @@ bool AsciiEqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> SplitBy(std::string_view s, std::string_view sep) {
   // Byte-exact separator matching is UTF-8 clean: a valid UTF-8 separator
   // can only match at code-point boundaries, so the pieces stay valid.

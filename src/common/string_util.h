@@ -16,12 +16,6 @@ std::string AsciiToUpper(std::string_view s);
 /// Case-insensitive ASCII equality.
 bool AsciiEqualsIgnoreCase(std::string_view a, std::string_view b);
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// Splits `s` on the single character `sep`; keeps empty parts.
-std::vector<std::string> Split(std::string_view s, char sep);
-
 /// Splits `s` on the (non-empty) separator string, Cypher split() semantics.
 std::vector<std::string> SplitBy(std::string_view s, std::string_view sep);
 

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
-#include <unordered_map>
 
 #include "src/common/string_util.h"
 #include "src/eval/evaluator.h"
@@ -796,31 +795,6 @@ Result<Value> CallFunction(const std::string& name, const Args& args,
     return FnDurationBetween(args, ctx);
   }
   return Status::EvaluationError("unknown function: " + name + "()");
-}
-
-bool IsBuiltinFunction(const std::string& name) {
-  static const std::unordered_map<std::string, int>* kNames = [] {
-    auto* m = new std::unordered_map<std::string, int>();
-    for (const char* n :
-         {"id",        "labels",   "type",      "properties", "keys",
-          "startnode", "endnode",  "degree",    "outdegree",  "indegree",
-          "length",    "size",     "nodes",     "relationships", "rels",
-          "head",      "last",     "tail",      "reverse",    "range",
-          "coalesce",  "tostring", "tointeger", "toint",      "tofloat",
-          "toboolean", "abs",      "sign",      "ceil",       "floor",
-          "round",     "sqrt",     "exp",       "log",        "log10",
-          "sin",       "cos",      "tan",       "asin",       "acos",
-          "atan",      "atan2",    "pi",        "e",          "rand",
-          "toupper",   "upper",    "tolower",   "lower",      "trim",
-          "ltrim",     "rtrim",    "replace",   "split",      "substring",
-          "left",      "right",    "date",      "localtime",  "time",
-          "localdatetime", "datetime", "duration", "durationbetween",
-          "exists"}) {
-      (*m)[n] = 1;
-    }
-    return m;
-  }();
-  return kNames->contains(name);
 }
 
 }  // namespace gqlite

@@ -33,9 +33,6 @@ Result<Value> CallFunction(const std::string& name,
                            const std::vector<Value>& args,
                            const EvalContext& ctx);
 
-/// True if `name` (lowercase) is a known non-aggregate builtin.
-bool IsBuiltinFunction(const std::string& name);
-
 }  // namespace gqlite
 
 #endif  // GQLITE_EVAL_FUNCTIONS_H_

@@ -61,8 +61,7 @@ bool Distributive(const Operator* op, std::string* why) {
     *why = "UNION materializes whole sub-plans";
     return false;
   } else if (dynamic_cast<const ArgumentOp*>(op) == nullptr &&
-             dynamic_cast<const AllNodesScanOp*>(op) == nullptr &&
-             dynamic_cast<const NodeByLabelScanOp*>(op) == nullptr &&
+             dynamic_cast<const NodeScanOp*>(op) == nullptr &&
              dynamic_cast<const ExpandOp*>(op) == nullptr &&
              dynamic_cast<const HashJoinExpandOp*>(op) == nullptr &&
              dynamic_cast<const VarLengthExpandOp*>(op) == nullptr &&

@@ -78,6 +78,11 @@ class RowBatch {
     return rows_.back();
   }
 
+  /// Drops the last appended row again; its slot keeps the ValueList
+  /// allocation for the next append (a scan that filters in place reuses
+  /// one slot for every rejected candidate). Only before any Select().
+  void PopBack() { --used_; }
+
   /// Restricts the live set to the given *live indices* (positions in
   /// 0..size()-1, ascending). Composes with an existing selection, so
   /// stacked filters narrow the same batch without copying rows.

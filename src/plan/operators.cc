@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/frontend/analyzer.h"
+#include "src/frontend/ast_printer.h"
 #include "src/value/value_compare.h"
 
 namespace gqlite {
@@ -126,80 +127,82 @@ Result<bool> ArgumentOp::NextBatchImpl(RowBatch* out) {
   return !out->empty();
 }
 
-// ---- AllNodesScanOp ---------------------------------------------------------
+// ---- NodeScanOp -------------------------------------------------------------
 
-AllNodesScanOp::AllNodesScanOp(OperatorPtr child, const ExecContext* ctx,
-                               std::string var)
-    : Operator(nullptr, {}), ctx_(ctx), var_(var) {
+NodeScanOp::NodeScanOp(OperatorPtr child, const ExecContext* ctx,
+                       std::string var, std::string label)
+    : Operator(nullptr, {}), ctx_(ctx), var_(var), label_(std::move(label)) {
   child_ = std::move(child);
   schema_ = Extend(child_->schema(), {var});
 }
 
-size_t AllNodesScanOp::ScanDomainSize() const {
-  return ctx_->graph->NumNodeSlots();
+void NodeScanOp::AddPredicate(const ast::Expr* pred) {
+  pred_exprs_.push_back(pred);
+  preds_.push_back(CompiledExpr::Compile(*pred, schema_));
 }
 
-Status AllNodesScanOp::Open() {
-  input_.Reset();
-  node_pos_ = range_begin_;
-  return child_->Open();
-}
-
-Result<bool> AllNodesScanOp::NextBatchImpl(RowBatch* out) {
+size_t NodeScanOp::ScanDomainSize() const {
   const PropertyGraph& g = *ctx_->graph;
-  const size_t end = std::min(range_end_, g.NumNodeSlots());
-  while (!out->full()) {
-    GQL_ASSIGN_OR_RETURN(const ValueList* in,
-                         input_.Current(child_.get(), out->capacity()));
-    if (in == nullptr) break;
-    while (node_pos_ < end && !out->full()) {
-      NodeId n{node_pos_++};
-      if (!g.IsNodeAlive(n)) continue;
-      out->AppendFrom(*in).push_back(Value::Node(n));
-    }
-    if (node_pos_ >= end) {
-      input_.Advance();
-      node_pos_ = range_begin_;
-    }
-  }
-  return !out->empty();
+  return label_.empty() ? g.NumNodeSlots() : g.NodesWithLabel(label_).size();
 }
 
-// ---- NodeByLabelScanOp ------------------------------------------------------
-
-NodeByLabelScanOp::NodeByLabelScanOp(OperatorPtr child, const ExecContext* ctx,
-                                     std::string var, std::string label)
-    : Operator(nullptr, {}), ctx_(ctx), var_(var), label_(label) {
-  child_ = std::move(child);
-  schema_ = Extend(child_->schema(), {var});
-}
-
-size_t NodeByLabelScanOp::ScanDomainSize() const {
-  return ctx_->graph->NodesWithLabel(label_).size();
-}
-
-Status NodeByLabelScanOp::Open() {
+Status NodeScanOp::Open() {
+  for (CompiledExpr& p : preds_) p.Bind(ctx_->eval);
   input_.Reset();
-  idx_pos_ = range_begin_;
+  pos_ = range_begin_;
   return child_->Open();
 }
 
-Result<bool> NodeByLabelScanOp::NextBatchImpl(RowBatch* out) {
-  const auto& idx = ctx_->graph->NodesWithLabel(label_);
-  const size_t end = std::min(range_end_, idx.size());
+Result<bool> NodeScanOp::NextBatchImpl(RowBatch* out) {
+  const PropertyGraph& g = *ctx_->graph;
+  const std::vector<NodeId>* postings =
+      label_.empty() ? nullptr : &g.NodesWithLabel(label_);
+  const size_t end = std::min(range_end_, ScanDomainSize());
   while (!out->full()) {
     GQL_ASSIGN_OR_RETURN(const ValueList* in,
                          input_.Current(child_.get(), out->capacity()));
     if (in == nullptr) break;
-    while (idx_pos_ < end && !out->full()) {
-      out->AppendFrom(*in).push_back(Value::Node(idx[idx_pos_++]));
+    while (pos_ < end && !out->full()) {
+      NodeId n = postings != nullptr ? (*postings)[pos_] : NodeId{pos_};
+      ++pos_;
+      if (postings == nullptr && !g.IsNodeAlive(n)) continue;
+      ++rows_examined_;
+      ValueList& row = out->AppendFrom(*in);
+      row.push_back(Value::Node(n));
+      for (const CompiledExpr& pred : preds_) {
+        GQL_ASSIGN_OR_RETURN(Tri keep, pred.EvaluatePredicate(row));
+        if (keep != Tri::kTrue) {
+          out->PopBack();
+          break;
+        }
+      }
     }
-    if (idx_pos_ >= end) {
+    if (pos_ >= end) {
       input_.Advance();
-      idx_pos_ = range_begin_;
+      pos_ = range_begin_;
     }
   }
   return !out->empty();
+}
+
+std::string NodeScanOp::Describe() const {
+  std::string out = label_.empty() ? "AllNodesScan(" : "NodeByLabelScan(";
+  out += var_;
+  if (!label_.empty()) {
+    out += ':';
+    out += label_;
+  }
+  out += ')';
+  for (size_t i = 0; i < pred_exprs_.size(); ++i) {
+    out += i == 0 ? " WHERE " : " AND ";
+    out += UnparseExpr(*pred_exprs_[i]);
+  }
+  return out;
+}
+
+void NodeScanOp::AbsorbCounters(const Operator& other) {
+  Operator::AbsorbCounters(other);
+  rows_examined_ += static_cast<const NodeScanOp&>(other).rows_examined_;
 }
 
 // ---- ExpandOp ---------------------------------------------------------------
@@ -1028,24 +1031,35 @@ Result<Table> DrainPlan(Operator* root, size_t batch_size,
 
 namespace {
 
+/// An estimate for EXPLAIN: %.1f below 10 keeps sub-row selectivities
+/// visible; whole numbers above.
+std::string FormatEstimate(double est) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), est < 10 ? "%.1f" : "%.0f", est);
+  return buf;
+}
+
 void ExplainRec(const Operator& op, int depth, bool with_rows,
                 std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += "+ " + op.Describe();
+  // A scan that filters in place shows what a Filter above it would
+  // have: the candidates next to the rows kept.
+  const auto* scan = dynamic_cast<const NodeScanOp*>(&op);
+  const bool filters = scan != nullptr && scan->filters();
   if (op.est_rows() >= 0) {
-    // %.1f below 10 keeps sub-row selectivities visible; whole numbers
-    // above.
-    double est = op.est_rows();
-    char buf[32];
-    if (est < 10) {
-      std::snprintf(buf, sizeof(buf), "%.1f", est);
-    } else {
-      std::snprintf(buf, sizeof(buf), "%.0f", est);
+    *out += "  (";
+    if (filters && scan->est_scanned() >= 0) {
+      *out += "est. scanned: " + FormatEstimate(scan->est_scanned()) + ", ";
     }
-    *out += "  (est. rows: " + std::string(buf) + ")";
+    *out += "est. rows: " + FormatEstimate(op.est_rows()) + ")";
   }
   if (with_rows) {
-    *out += "  (rows: " + std::to_string(op.rows_produced()) +
+    *out += "  (";
+    if (filters) {
+      *out += "examined: " + std::to_string(scan->rows_examined()) + ", ";
+    }
+    *out += "rows: " + std::to_string(op.rows_produced()) +
             ", batches: " + std::to_string(op.batches_produced()) + ")";
   }
   *out += "\n";

@@ -107,7 +107,7 @@ class Operator {
   /// trees must be structurally identical (per-worker instances of the
   /// same plan). PROFILE of a parallel run folds every worker's counters
   /// into the printed tree.
-  void AbsorbCounters(const Operator& other);
+  virtual void AbsorbCounters(const Operator& other);
 
  protected:
   Operator(std::unique_ptr<Operator> child, std::vector<std::string> schema)
@@ -192,53 +192,56 @@ class ArgumentOp : public Operator {
   bool done_single_ = false;
 };
 
-/// Scans all live nodes, binding `var`. Domain = node slot space.
-class AllNodesScanOp : public Operator, public PartitionedScan {
+/// Scans nodes, binding `var`: every live node slot when `label` is
+/// empty (AllNodesScan), the label's posting list otherwise
+/// (NodeByLabelScan, the planner's preferred access path when the pattern
+/// constrains the label). Domain = node slots or posting-list entries.
+///
+/// σ fused into the scan: the planner hands a ready WHERE conjunct to the
+/// scan under it (AddPredicate) instead of stacking a FilterOp. Each
+/// candidate is appended into the next output slot and the predicates
+/// run on that slot in WHERE order, stopping at the first that is not
+/// true; a rejected candidate's slot is popped again and keeps its
+/// allocation, so a selective scan builds no row per candidate. Without
+/// predicates every candidate is kept.
+class NodeScanOp : public Operator, public PartitionedScan {
  public:
-  AllNodesScanOp(OperatorPtr child, const ExecContext* ctx, std::string var);
+  NodeScanOp(OperatorPtr child, const ExecContext* ctx, std::string var,
+             std::string label = "");
+  /// Adds a conjunct over this scan's output row (compiled here, bound
+  /// by Open()). `pred` must outlive the operator.
+  void AddPredicate(const ast::Expr* pred);
   Status Open() override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
-  std::string Describe() const override { return "AllNodesScan(" + var_ + ")"; }
+  std::string Describe() const override;
   size_t ScanDomainSize() const override;
   void SetScanRange(size_t begin, size_t end) override {
     range_begin_ = begin;
     range_end_ = end;
   }
+  void AbsorbCounters(const Operator& other) override;
 
- private:
-  const ExecContext* ctx_;
-  std::string var_;
-  BatchCursor input_;
-  size_t node_pos_ = 0;
-  size_t range_begin_ = 0;
-  size_t range_end_ = SIZE_MAX;
-};
-
-/// Scans the label index, binding `var` (the planner's preferred access
-/// path when the pattern constrains the label). Domain = index entries.
-class NodeByLabelScanOp : public Operator, public PartitionedScan {
- public:
-  NodeByLabelScanOp(OperatorPtr child, const ExecContext* ctx,
-                    std::string var, std::string label);
-  Status Open() override;
-  Result<bool> NextBatchImpl(RowBatch* out) override;
-  std::string Describe() const override {
-    return "NodeByLabelScan(" + var_ + ":" + label_ + ")";
-  }
-  size_t ScanDomainSize() const override;
-  void SetScanRange(size_t begin, size_t end) override {
-    range_begin_ = begin;
-    range_end_ = end;
-  }
+  bool filters() const { return !preds_.empty(); }
+  /// Candidates the predicates examined (PROFILE prints it next to the
+  /// rows kept); counts every candidate when there are no predicates.
+  int64_t rows_examined() const { return rows_examined_; }
+  /// Planner estimate of the candidates, before the predicates (EXPLAIN
+  /// prints it next to est_rows(), the estimate after them).
+  double est_scanned() const { return est_scanned_; }
+  void set_est_scanned(double rows) { est_scanned_ = rows; }
 
  private:
   const ExecContext* ctx_;
   std::string var_;
   std::string label_;
+  std::vector<const ast::Expr*> pred_exprs_;
+  std::vector<CompiledExpr> preds_;
   BatchCursor input_;
-  size_t idx_pos_ = 0;
+  size_t pos_ = 0;
   size_t range_begin_ = 0;
   size_t range_end_ = SIZE_MAX;
+  int64_t rows_examined_ = 0;
+  double est_scanned_ = -1;
 };
 
 /// Common configuration of the expand family: traverse one relationship
@@ -400,7 +403,10 @@ class VarLengthExpandOp : public Operator {
 
 /// σ: keeps rows whose predicate is true (3VL: null drops the row).
 /// Batched: marks survivors in the morsel's selection vector — no row is
-/// copied or moved by a filter.
+/// copied or moved by a filter. The planner places it above expands,
+/// Apply and the matcher fallback; a conjunct ready at a node scan runs
+/// inside the scan instead (NodeScanOp). A chain of FilterOps runs each
+/// conjunct over the whole morsel before the next.
 class FilterOp : public Operator {
  public:
   FilterOp(OperatorPtr child, const ExecContext* ctx, const ast::Expr* pred);

@@ -422,7 +422,11 @@ void Planner::PlaceReadyFilters(PipelineState* state, ExecContext* ctx,
       ++it;
       continue;
     }
-    state->tip = std::make_unique<FilterOp>(std::move(state->tip), ctx, *it);
+    if (auto* scan = dynamic_cast<NodeScanOp*>(state->tip.get())) {
+      scan->AddPredicate(*it);
+    } else {
+      state->tip = std::make_unique<FilterOp>(std::move(state->tip), ctx, *it);
+    }
     if (est != nullptr && stats != nullptr) {
       *est *= FilterSelectivity(**it, *stats,
                                 rel_vars ? *rel_vars : kNoRelVars);
@@ -523,14 +527,11 @@ Status Planner::PlanChain(const PathPattern& path, PipelineState* state,
         scanned_label = l;
       }
     }
-    if (!scanned_label.empty()) {
-      state->tip = std::make_unique<NodeByLabelScanOp>(
-          std::move(state->tip), ctx, node_cols[anchor], scanned_label);
-    } else {
-      state->tip = std::make_unique<AllNodesScanOp>(std::move(state->tip),
-                                                    ctx, node_cols[anchor]);
-    }
-    state->tip->set_est_rows(scan_rows);
+    auto scan = std::make_unique<NodeScanOp>(
+        std::move(state->tip), ctx, node_cols[anchor], scanned_label);
+    scan->set_est_scanned(scan_rows);
+    scan->set_est_rows(scan_rows);
+    state->tip = std::move(scan);
     cur_est = std::max(scan_rows, 0.001);
     node_bound[anchor] = true;
     add_node_constraints(anchor, !scanned_label.empty(), scanned_label);

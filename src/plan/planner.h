@@ -97,9 +97,11 @@ class Planner {
                    Plan* plan, ExecContext* ctx);
 
   /// Places every pending WHERE/synthesized conjunct whose variables are
-  /// all bound as a FilterOp at the current tip. PlanChain calls this
-  /// after the anchor scan and after every expand step (filter pushdown
-  /// into the chain, not just at chain boundaries). With `est` non-null
+  /// all bound at the current tip: inside it when the tip is a node scan
+  /// (the scan filters in place, in conjunct order), as a FilterOp above
+  /// it otherwise. PlanChain calls this after the anchor scan and after
+  /// every expand step (filter pushdown into the chain, not just at chain
+  /// boundaries). With `est` non-null
   /// the running cardinality estimate is multiplied by each filter's
   /// selectivity and annotated on the placed operator; `rel_vars` names
   /// the relationship columns so property equalities pick the right NDV

@@ -74,13 +74,8 @@ TEST(StringUtil, Utf8CaseMappingInvalidBytesPassThrough) {
             std::string_view("a\xC3", 2));
 }
 
-TEST(StringUtil, JoinSplit) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  std::vector<std::string> parts = Split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
-  parts = SplitBy("one--two--three", "--");
+TEST(StringUtil, SplitBy) {
+  std::vector<std::string> parts = SplitBy("one--two--three", "--");
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[1], "two");
 }

@@ -469,7 +469,9 @@ TEST(CompiledExprs, LeavesAgreeWithTheInterpreter) {
 }
 
 TEST(CompiledExprs, ErrorsMatchTheInterpreter) {
-  BothRuntimes both("CREATE (:X {name: 'a', v: 1})");
+  BothRuntimes both(
+      "CREATE (:X {name: 'a', v: 1}), (:L {a: 1, z: 1, b: 'x'}),"
+      " (:L {a: 1, z: 0, b: 2})");
   const char* queries[] = {
       "MATCH (n:X) WHERE n.name AND 1/0 = 1 RETURN n",
       "MATCH (n:X) WHERE n.v RETURN n",
@@ -491,6 +493,10 @@ TEST(CompiledExprs, ErrorsMatchTheInterpreter) {
       "MATCH (n:X) WHERE n.name AND true RETURN n",
       "MATCH (n:X) WHERE n.name AND n.v = 1 RETURN n",
       "MATCH (n:X) WHERE n.v = 2 AND n.name RETURN n",
+      // Conjuncts fused into the scan run per row in WHERE order, as the
+      // interpreter evaluates AND: the first row's second conjunct fails
+      // before the second row's first conjunct divides by zero.
+      "MATCH (n:L) WHERE n.a / n.z = 1 AND n.b - 1 = 1 RETURN n.a",
   };
   for (const char* q : queries) {
     auto expected = both.dbs[0].Execute(q);

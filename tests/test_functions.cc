@@ -223,14 +223,6 @@ TEST_F(FunctionsTest, CaseInsensitiveNames) {
   EXPECT_EQ(Must("CoAlEsCe(null, 7)").AsInt(), 7);
 }
 
-TEST(IsBuiltin, KnowsItsNames) {
-  EXPECT_TRUE(IsBuiltinFunction("labels"));
-  EXPECT_TRUE(IsBuiltinFunction("tostring"));
-  EXPECT_TRUE(IsBuiltinFunction("durationbetween"));
-  EXPECT_FALSE(IsBuiltinFunction("count"));  // aggregate, not scalar
-  EXPECT_FALSE(IsBuiltinFunction("frobnicate"));
-}
-
 TEST_F(FunctionsTest, StringFunctionsCountCodePointsNotBytes) {
   // 'héllo' is 5 characters in 6 bytes; byte-oriented implementations
   // split the 'é' and emit invalid UTF-8.

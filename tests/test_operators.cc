@@ -48,7 +48,7 @@ class OperatorTest : public ::testing::Test {
 };
 
 TEST_F(OperatorTest, AllNodesScan) {
-  AllNodesScanOp scan(Unit(), &ctx_, "n");
+  NodeScanOp scan(Unit(), &ctx_, "n");
   Table t = Drain(&scan);
   EXPECT_EQ(t.NumRows(), 3u);
   EXPECT_EQ(t.fields(), std::vector<std::string>{"n"});
@@ -59,21 +59,21 @@ TEST_F(OperatorTest, AllNodesScanSkipsDeleted) {
   ASSERT_TRUE(g_.DeleteRelationship(ab_).ok());
   ASSERT_TRUE(g_.DeleteRelationship(ac_).ok());
   ASSERT_TRUE(g_.DeleteNode(a_).ok());
-  AllNodesScanOp scan(Unit(), &ctx_, "n");
+  NodeScanOp scan(Unit(), &ctx_, "n");
   EXPECT_EQ(Drain(&scan).NumRows(), 2u);
 }
 
 TEST_F(OperatorTest, NodeByLabelScan) {
-  NodeByLabelScanOp scan(Unit(), &ctx_, "n", "B");
+  NodeScanOp scan(Unit(), &ctx_, "n", "B");
   Table t = Drain(&scan);
   EXPECT_EQ(t.NumRows(), 2u);
-  NodeByLabelScanOp none(Unit(), &ctx_, "n", "Zzz");
+  NodeScanOp none(Unit(), &ctx_, "n", "Zzz");
   EXPECT_EQ(Drain(&none).NumRows(), 0u);
 }
 
 TEST_F(OperatorTest, ExpandAllDirections) {
   auto make_expand = [&](ast::Direction dir, const char* type) {
-    auto scan = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
+    auto scan = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
     ExpandSpec spec;
     spec.from_col = 0;
     spec.rel_var = "r";
@@ -94,9 +94,8 @@ TEST_F(OperatorTest, ExpandAllDirections) {
 
 TEST_F(OperatorTest, ExpandIntoChecksBoundTarget) {
   // Schema [n, m]: all pairs via two scans, then ExpandInto over T.
-  auto scan1 = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
-  auto scan2 =
-      std::make_unique<AllNodesScanOp>(std::move(scan1), &ctx_, "m");
+  auto scan1 = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
+  auto scan2 = std::make_unique<NodeScanOp>(std::move(scan1), &ctx_, "m");
   ExpandSpec spec;
   spec.from_col = 0;
   spec.to_col = 1;
@@ -109,7 +108,7 @@ TEST_F(OperatorTest, ExpandIntoChecksBoundTarget) {
 
 TEST_F(OperatorTest, ExpandUniquenessColumns) {
   // (a)-[r1]->(x)-[r2]->(y): r2 must not reuse r1.
-  auto scan = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
+  auto scan = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
   ExpandSpec s1;
   s1.from_col = 0;
   s1.rel_var = "r1";
@@ -125,7 +124,7 @@ TEST_F(OperatorTest, ExpandUniquenessColumns) {
   auto e2 = std::make_unique<ExpandOp>(std::move(e1), &ctx_, s2);
   Table with_uniq = Drain(e2.get());
   // Without the uniqueness column the bounce-back paths appear too.
-  auto scan_b = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
+  auto scan_b = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
   auto e1b = std::make_unique<ExpandOp>(std::move(scan_b), &ctx_, s1);
   ExpandSpec s2b = s2;
   s2b.uniqueness_cols.clear();
@@ -135,7 +134,7 @@ TEST_F(OperatorTest, ExpandUniquenessColumns) {
 }
 
 TEST_F(OperatorTest, HashJoinExpandAgreesWithExpand) {
-  auto scan = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
+  auto scan = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
   ExpandSpec spec;
   spec.from_col = 0;
   spec.rel_var = "r";
@@ -143,7 +142,7 @@ TEST_F(OperatorTest, HashJoinExpandAgreesWithExpand) {
   spec.direction = ast::Direction::kBoth;
   auto adj = std::make_unique<ExpandOp>(std::move(scan), &ctx_, spec);
   Table t1 = Drain(adj.get());
-  auto scan2 = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
+  auto scan2 = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
   auto hj = std::make_unique<HashJoinExpandOp>(std::move(scan2), &ctx_, spec);
   Table t2 = Drain(hj.get());
   EXPECT_TRUE(t1.SameBag(t2));
@@ -154,7 +153,7 @@ TEST_F(OperatorTest, VarLengthExpandLengths) {
   ExecContext cctx;
   cctx.graph = chain.get();
   cctx.eval.graph = chain.get();
-  auto scan = std::make_unique<AllNodesScanOp>(Unit(), &cctx, "n");
+  auto scan = std::make_unique<NodeScanOp>(Unit(), &cctx, "n");
   ExpandSpec spec;
   spec.from_col = 0;
   spec.rel_var = "rs";
@@ -164,14 +163,14 @@ TEST_F(OperatorTest, VarLengthExpandLengths) {
                                                  spec, 1, 2);
   Table t = Drain(vle.get());
   EXPECT_EQ(t.NumRows(), 5u);  // 3 length-1 + 2 length-2
-  auto scan0 = std::make_unique<AllNodesScanOp>(Unit(), &cctx, "n");
+  auto scan0 = std::make_unique<NodeScanOp>(Unit(), &cctx, "n");
   auto vle0 = std::make_unique<VarLengthExpandOp>(std::move(scan0), &cctx,
                                                   spec, 0, 1);
   EXPECT_EQ(Drain(vle0.get()).NumRows(), 7u);  // 4 zero + 3 one
 }
 
 TEST_F(OperatorTest, FilterKeepsOnlyTrue) {
-  auto scan = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
+  auto scan = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
   auto pred = ParseExpression("n.v > 1");
   ASSERT_TRUE(pred.ok());
   FilterOp filter(std::move(scan), &ctx_, pred->get());
@@ -238,7 +237,7 @@ TEST_F(OperatorTest, BatchBoundariesDoNotChangeResults) {
   // produce the same bag as the default morsel — catches off-by-one
   // resume bugs at batch boundaries.
   auto make = [&]() {
-    auto scan = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
+    auto scan = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
     ExpandSpec spec;
     spec.from_col = 0;
     spec.rel_var = "r";
@@ -257,7 +256,7 @@ TEST_F(OperatorTest, BatchBoundariesDoNotChangeResults) {
 }
 
 TEST_F(OperatorTest, FilterUsesSelectionWithoutCopying) {
-  auto scan = std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n");
+  auto scan = std::make_unique<NodeScanOp>(Unit(), &ctx_, "n");
   auto pred = ParseExpression("n.v > 1");
   ASSERT_TRUE(pred.ok());
   FilterOp filter(std::move(scan), &ctx_, pred->get());
@@ -272,13 +271,68 @@ TEST_F(OperatorTest, FilterUsesSelectionWithoutCopying) {
   EXPECT_EQ(filter.batches_produced(), 1);
 }
 
+TEST_F(OperatorTest, ScanFiltersInPlace) {
+  // 3,000 :N nodes with v = 0..2999, so survivors of a scan-level
+  // predicate cross morsel boundaries at both batch sizes.
+  PropertyGraph g;
+  for (int64_t i = 0; i < 3000; ++i) {
+    g.CreateNode({"N"}, {{"v", Value::Int(i)}});
+  }
+  ExecContext cctx;
+  cctx.graph = &g;
+  cctx.eval.graph = &g;
+  static ValueMap no_params;
+  cctx.eval.parameters = &no_params;
+  auto even = ParseExpression("n.v % 2 = 0");
+  auto below_x = ParseExpression("n.v < x");
+  auto fails_at_5 = ParseExpression("n.v / (n.v - 5) > 0");
+  ASSERT_TRUE(even.ok() && below_x.ok() && fails_at_5.ok());
+  for (size_t bs : {size_t{1}, RowBatch::kDefaultCapacity}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(bs));
+    // Only survivors are kept, across morsel boundaries.
+    NodeScanOp scan(Unit(), &cctx, "n", "N");
+    scan.AddPredicate(even->get());
+    Table t = Drain(&scan, bs);
+    ASSERT_EQ(t.NumRows(), 1500u);
+    for (const ValueList& row : t.rows()) {
+      EXPECT_EQ(g.NodeProperty(row[0].AsNode(), "v").AsInt() % 2, 0);
+    }
+    EXPECT_EQ(scan.rows_examined(), 3000);
+    EXPECT_EQ(scan.rows_produced(), 1500);
+    EXPECT_EQ(scan.batches_produced(),
+              static_cast<int64_t>((1500 + bs - 1) / bs));
+
+    // An Argument-driven scan sees the driving row's columns.
+    const ValueList driving = {Value::Int(3)};
+    const std::vector<std::string> driving_cols = {"x"};
+    auto arg = std::make_unique<ArgumentOp>(driving_cols, nullptr);
+    arg->BindRow(&driving);
+    NodeScanOp correlated(std::move(arg), &cctx, "n");
+    correlated.AddPredicate(below_x->get());
+    Table c = Drain(&correlated, bs);
+    ASSERT_EQ(c.NumRows(), 3u);
+    EXPECT_EQ(c.fields(), (std::vector<std::string>{"x", "n"}));
+    for (const ValueList& row : c.rows()) EXPECT_EQ(row[0].AsInt(), 3);
+
+    // An erroring predicate stops the scan at the failing candidate.
+    NodeScanOp failing(Unit(), &cctx, "n", "N");
+    failing.AddPredicate(fails_at_5->get());
+    ASSERT_TRUE(failing.Open().ok());
+    auto drained = DrainPlan(&failing, bs);
+    ASSERT_FALSE(drained.ok());
+    EXPECT_EQ(drained.status().ToString(),
+              "EvaluationError: division by zero");
+    EXPECT_EQ(failing.rows_examined(), 6);
+  }
+}
+
 TEST_F(OperatorTest, VarLengthBatchBoundaries) {
   GraphPtr chain = workload::MakeChain(6);
   ExecContext cctx;
   cctx.graph = chain.get();
   cctx.eval.graph = chain.get();
   auto make = [&]() {
-    auto scan = std::make_unique<AllNodesScanOp>(Unit(), &cctx, "n");
+    auto scan = std::make_unique<NodeScanOp>(Unit(), &cctx, "n");
     ExpandSpec spec;
     spec.from_col = 0;
     spec.rel_var = "rs";
@@ -297,14 +351,14 @@ TEST_F(OperatorTest, VarLengthBatchBoundaries) {
 
 TEST_F(OperatorTest, UnionOpDeduplicates) {
   std::vector<OperatorPtr> parts;
-  parts.push_back(std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n"));
-  parts.push_back(std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n"));
+  parts.push_back(std::make_unique<NodeScanOp>(Unit(), &ctx_, "n"));
+  parts.push_back(std::make_unique<NodeScanOp>(Unit(), &ctx_, "n"));
   UnionOp u(std::move(parts), /*all=*/false, {"n"});
   Table t = Drain(&u);
   EXPECT_EQ(t.NumRows(), 3u);  // deduplicated
   std::vector<OperatorPtr> parts2;
-  parts2.push_back(std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n"));
-  parts2.push_back(std::make_unique<AllNodesScanOp>(Unit(), &ctx_, "n"));
+  parts2.push_back(std::make_unique<NodeScanOp>(Unit(), &ctx_, "n"));
+  parts2.push_back(std::make_unique<NodeScanOp>(Unit(), &ctx_, "n"));
   UnionOp u2(std::move(parts2), /*all=*/true, {"n"});
   EXPECT_EQ(Drain(&u2).NumRows(), 6u);
 }

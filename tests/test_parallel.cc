@@ -426,6 +426,26 @@ TEST(ParallelEngine, ProfileReportsWorkersAndMorsels) {
   EXPECT_NE(prof->find("morsels dispatched"), std::string::npos) << *prof;
 }
 
+TEST(ParallelEngine, ProfileSumsWhatEachWorkersScanExamined) {
+  Database par = OpenParallel(2);
+  if (par.engine().options().num_threads <= 1) {
+    GTEST_SKIP() << "GQLITE_THREADS forces serial execution";
+  }
+  const char* q = "MATCH (n) WHERE n.v > 50 RETURN count(*) AS c";
+  auto kept = par.Execute(q);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  auto prof = par.Profile(q);
+  ASSERT_TRUE(prof.ok()) << prof.status().ToString();
+  // The scan filters in place; its counters add up over the workers.
+  EXPECT_NE(prof->find("+ AllNodesScan(n) WHERE (n.v > 50)"),
+            std::string::npos)
+      << *prof;
+  const int64_t n = kept->table.rows()[0][0].AsInt();
+  const std::string counters =
+      "(examined: 120, rows: " + std::to_string(n) + ",";
+  EXPECT_NE(prof->find(counters), std::string::npos) << *prof;
+}
+
 TEST(ParallelEngine, CachedParallelPlansReplanAfterGraphMutation) {
   EngineOptions opts;
   opts.num_threads = 2;

@@ -118,14 +118,22 @@ TEST(PlanShapes, ForcedHashJoinAppliesToRigidHops) {
 
 TEST(PlanShapes, EstimatesShrinkThroughSelectiveFilters) {
   Database db = MakeLopsidedDatabase(EngineOptions{});
-  // The scan estimate reflects the label count; a filtered estimate is
-  // annotated on the FilterOp and is smaller than the scan's.
+  // The scan filters in place: its line names the predicate and prints
+  // the scan-domain estimate (the label count) next to the estimate
+  // after the predicate, which is smaller.
   auto e = db.Explain("MATCH (a:A) WHERE a.id = 3 RETURN a.id");
   ASSERT_TRUE(e.ok()) << e.status().ToString();
-  EXPECT_NE(e->find("NodeByLabelScan(a:A)  (est. rows: 60)"),
-            std::string::npos)
-      << *e;
-  EXPECT_NE(e->find("Filter"), std::string::npos) << *e;
+  size_t scan = e->find("NodeByLabelScan(a:A) WHERE (a.id = 3)  (");
+  ASSERT_NE(scan, std::string::npos) << *e;
+  size_t scanned = e->find("est. scanned: ", scan);
+  size_t rows = e->find("est. rows: ", scan);
+  ASSERT_NE(scanned, std::string::npos) << *e;
+  ASSERT_NE(rows, std::string::npos) << *e;
+  double scanned_est = std::stod(e->substr(scanned + 14));
+  double rows_est = std::stod(e->substr(rows + 11));
+  EXPECT_EQ(scanned_est, 60) << *e;
+  EXPECT_LT(rows_est, scanned_est) << *e;
+  EXPECT_EQ(e->find("Filter"), std::string::npos) << *e;
 }
 
 TEST(PlanShapes, VarLengthKeepsAdjacencyUnderForcedHashJoin) {
@@ -166,7 +174,7 @@ Database MakeSymmetricRangeDatabase() {
 TEST(PlanShapes, RangeFilteredSideOfASymmetricPatternIsTheAnchor) {
   // The analytic distinct-friends read has this shape: the range on
   // a.x is the only selective predicate, so the plan anchors at `a` and
-  // applies both range Filters before expanding.
+  // applies both range predicates, inside the scan, before expanding.
   Database db = MakeSymmetricRangeDatabase();
   auto e = db.Explain(
       "MATCH (a:L)-[:T]->(b:L) WHERE a.x >= $lo AND a.x < $hi RETURN b.x",
@@ -174,13 +182,13 @@ TEST(PlanShapes, RangeFilteredSideOfASymmetricPatternIsTheAnchor) {
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   size_t expand = e->find("Expand(a->:T->b)");
   ASSERT_NE(expand, std::string::npos) << *e;
-  std::string below = e->substr(expand);
-  size_t first = below.find("Filter");
-  ASSERT_NE(first, std::string::npos) << *e;
-  size_t second = below.find("Filter", first + 1);
-  ASSERT_NE(second, std::string::npos) << *e;
-  EXPECT_NE(below.find("NodeByLabelScan(a:L)", second), std::string::npos)
-      << *e;
+  // The scan, with both predicates, is the Expand's child: no Filter
+  // between them.
+  const std::string scan =
+      "+ NodeByLabelScan(a:L) WHERE (a.x >= $lo) AND (a.x < $hi)";
+  std::string below = e->substr(e->find('\n', expand) + 1);
+  EXPECT_NE(below.find(scan), std::string::npos) << *e;
+  EXPECT_EQ(below.find(scan), below.find('+')) << *e;
 }
 
 }  // namespace
